@@ -1,7 +1,6 @@
 // A10 — certifier throughput (ISSUE 8): the flat-arena, prefix-pruned
 // blocking-pair scans against the pre-arena reference (per-list hash-map
-// inverse ranks, full-list scan; stable/ref_certify.hpp), serial and
-// across a thread ladder.
+// inverse ranks, full-list scan; stable/ref_certify.hpp).
 //
 // One certification pass = classic count + eps count + metrics over three
 // matchings (empty / Gale–Shapley-stable / random-partial) of the same
@@ -11,11 +10,10 @@
 //
 // Before any timing, every implementation's counts, first witnesses,
 // almost-stability decisions and metrics are cross-checked pairwise
-// (DASM_CHECK — a mismatch aborts the bench). Speedup verdicts:
-//   - arena serial >= 3x map baseline on the dense instance (always on);
-//   - parallel ladder near-linear, gated on hardware concurrency
-//     (single-core hosts still verify bit-identity, timeslicing says
-//     nothing about scaling).
+// (DASM_CHECK — a mismatch aborts the bench). Speedup verdict: arena
+// >= 3x map baseline on the dense instance. The certifier is serial; a
+// thread-sharded scan measured 0.87-0.97x serial at 2 and 4 threads on
+// a 4-vCPU host and was removed (DESIGN.md §6).
 //
 // --n N          dense instance size (default 2000; smoke runs use less)
 // --json-out P   machine-readable results (default BENCH_a10_certifier.json)
@@ -29,7 +27,6 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "par/thread_pool.hpp"
 #include "stable/blocking.hpp"
 #include "stable/gale_shapley.hpp"
 #include "stable/metrics.hpp"
@@ -113,21 +110,21 @@ struct Workload {
   std::int64_t verified = 0;
 };
 
-// Cross-check the arena certifier (with `pool`, possibly null) against
-// the reference results. Returns the number of checks performed.
-std::int64_t verify_arena(const Workload& w, par::ThreadPool* pool) {
+// Cross-check the arena certifier against the reference results. Returns
+// the number of checks performed.
+std::int64_t verify_arena(const Workload& w) {
   std::int64_t checks = 0;
   for (std::size_t i = 0; i < w.matchings.size(); ++i) {
     const Matching& m = w.matchings[i];
     const Expected& e = w.expected[i];
-    DASM_CHECK(count_blocking_pairs(w.inst, m, pool) == e.classic);
-    DASM_CHECK(count_eps_blocking_pairs(w.inst, m, kEps, pool) == e.eps);
-    DASM_CHECK(first_blocking_pair(w.inst, m, pool) == e.first_classic);
-    DASM_CHECK(first_eps_blocking_pair(w.inst, m, kEps, pool) == e.first_eps);
+    DASM_CHECK(count_blocking_pairs(w.inst, m) == e.classic);
+    DASM_CHECK(count_eps_blocking_pairs(w.inst, m, kEps) == e.eps);
+    DASM_CHECK(first_blocking_pair(w.inst, m) == e.first_classic);
+    DASM_CHECK(first_eps_blocking_pair(w.inst, m, kEps) == e.first_eps);
     const double tight = static_cast<double>(e.classic) /
                          static_cast<double>(w.inst.edge_count());
-    DASM_CHECK(is_almost_stable(w.inst, m, tight, pool) == e.almost_tight);
-    check_metrics(compute_metrics(w.inst, m, pool), e.metrics);
+    DASM_CHECK(is_almost_stable(w.inst, m, tight) == e.almost_tight);
+    check_metrics(compute_metrics(w.inst, m), e.metrics);
     checks += 6;
   }
   return checks;
@@ -161,7 +158,6 @@ double best_seconds(int reps, Pass&& pass) {
 struct Row {
   std::string instance;
   std::string impl;
-  int threads = 1;
   std::int64_t edges = 0;
   double seconds = 0;
   double edges_per_s = 0;
@@ -179,8 +175,8 @@ int bench_main(int argc, const char* const* argv) {
   bench::print_header(
       "A10",
       "flat rank arenas + prefix-pruned scans certify faster than the "
-      "hash-map representation, and shard deterministically over threads",
-      "arena serial >= 3x map baseline edges/s on the dense instance; "
+      "hash-map representation",
+      "arena >= 3x map baseline edges/s on the dense instance; "
       "bit-identical counts/witnesses/metrics everywhere");
 
   std::vector<Workload> workloads;
@@ -193,35 +189,21 @@ int bench_main(int argc, const char* const* argv) {
       "sparse",
       gen::incomplete_uniform(n, n, 32.0 / static_cast<double>(n), 2), 2);
 
-  // Thread ladder for the parallel runs: distinct counts > 1.
-  std::vector<int> ladder;
-  for (const int t : {2, 4, par::hardware_threads()}) {
-    if (t > 1 && std::find(ladder.begin(), ladder.end(), t) == ladder.end()) {
-      ladder.push_back(t);
-    }
-  }
-  std::sort(ladder.begin(), ladder.end());
-
-  // ---- Identity first: map vs arena-serial vs every ladder rung --------
+  // ---- Identity first: map vs arena ------------------------------------
   std::int64_t identity_checks = 0;
   for (const Workload& w : workloads) {
     identity_checks += w.verified;
-    identity_checks += verify_arena(w, nullptr);
-    for (const int t : ladder) {
-      par::ThreadPool pool(t);
-      identity_checks += verify_arena(w, &pool);
-    }
+    identity_checks += verify_arena(w);
   }
   bench::print_verdict(true, "bit-identical counts, first witnesses, "
                              "almost-stability decisions and metrics "
-                             "across map/serial/parallel (" +
+                             "across map/arena (" +
                              std::to_string(identity_checks) + " checks)");
   std::cout << "\n";
 
   // ---- Throughput ------------------------------------------------------
   std::vector<Row> rows;
   double dense_speedup = 0;
-  std::vector<double> dense_parallel_speedup(ladder.size(), 0.0);
   for (const Workload& w : workloads) {
     // Nominal work per pass: two O(|E|) scans + one O(n) metrics pass
     // over each of the three matchings.
@@ -241,74 +223,38 @@ int bench_main(int argc, const char* const* argv) {
             return ref::compute_metrics(w.ref_inst, m);
           });
     });
-    rows.push_back({w.name, "map", 1, edges, map_s,
+    rows.push_back({w.name, "map", edges, map_s,
                     static_cast<double>(edges) / map_s});
 
-    const auto arena_pass = [&](par::ThreadPool* pool) {
+    const double arena_s = best_seconds(reps, [&] {
       run_pass(
           w,
+          [&](const Matching& m) { return count_blocking_pairs(w.inst, m); },
           [&](const Matching& m) {
-            return count_blocking_pairs(w.inst, m, pool);
+            return count_eps_blocking_pairs(w.inst, m, kEps);
           },
-          [&](const Matching& m) {
-            return count_eps_blocking_pairs(w.inst, m, kEps, pool);
-          },
-          [&](const Matching& m) {
-            return compute_metrics(w.inst, m, pool);
-          });
-    };
-    const double serial_s = best_seconds(reps, [&] { arena_pass(nullptr); });
-    rows.push_back({w.name, "arena", 1, edges, serial_s,
-                    static_cast<double>(edges) / serial_s});
-    if (w.name == "complete") dense_speedup = map_s / serial_s;
-
-    for (std::size_t li = 0; li < ladder.size(); ++li) {
-      par::ThreadPool pool(ladder[li]);
-      const double par_s = best_seconds(reps, [&] { arena_pass(&pool); });
-      rows.push_back({w.name, "arena", ladder[li], edges, par_s,
-                      static_cast<double>(edges) / par_s});
-      if (w.name == "complete") {
-        dense_parallel_speedup[li] = serial_s / par_s;
-      }
-    }
+          [&](const Matching& m) { return compute_metrics(w.inst, m); });
+    });
+    rows.push_back({w.name, "arena", edges, arena_s,
+                    static_cast<double>(edges) / arena_s});
+    if (w.name == "complete") dense_speedup = map_s / arena_s;
   }
 
-  Table table({"instance", "impl", "threads", "edges/pass", "best seconds",
-               "edges/s"});
+  Table table({"instance", "impl", "edges/pass", "best seconds", "edges/s"});
   for (const Row& r : rows) {
-    table.add_row({r.instance, r.impl, Table::num(r.threads),
-                   Table::num(r.edges), Table::num(r.seconds),
-                   Table::num(r.edges_per_s, 0)});
+    table.add_row({r.instance, r.impl, Table::num(r.edges),
+                   Table::num(r.seconds), Table::num(r.edges_per_s, 0)});
   }
   table.print(std::cout);
   std::cout << "\n";
 
-  // ---- Verdicts --------------------------------------------------------
-  bool ok = true;
-  const bool serial_ok = dense_speedup >= 3.0;
-  ok = ok && serial_ok;
+  // ---- Verdict ---------------------------------------------------------
+  const bool ok = dense_speedup >= 3.0;
   {
     std::ostringstream what;
-    what << "arena serial >= 3x map baseline on complete n=" << n << " ("
+    what << "arena >= 3x map baseline on complete n=" << n << " ("
          << Table::num(dense_speedup, 2) << "x)";
-    bench::print_verdict(serial_ok, what.str());
-  }
-  const int hw = par::hardware_threads();
-  for (std::size_t li = 0; li < ladder.size(); ++li) {
-    const int t = ladder[li];
-    std::ostringstream what;
-    what << "parallel ladder at " << t << " threads: "
-         << Table::num(dense_parallel_speedup[li], 2) << "x over serial";
-    if (t > hw) {
-      std::cout << "[GATED]     " << what.str() << " (only " << hw
-                << " hardware threads; identity still verified)\n";
-      continue;
-    }
-    // Near-linear with slack for the merge and the shared memory bus.
-    const bool par_ok =
-        dense_parallel_speedup[li] >= 0.5 * static_cast<double>(t);
-    ok = ok && par_ok;
-    bench::print_verdict(par_ok, what.str());
+    bench::print_verdict(ok, what.str());
   }
 
   // ---- Machine-readable results ---------------------------------------
@@ -319,12 +265,11 @@ int bench_main(int argc, const char* const* argv) {
        << ",\n  \"eps\": " << kEps
        << ",\n  \"identity_checks\": " << identity_checks
        << ",\n  \"dense_serial_speedup\": " << dense_speedup
-       << ",\n  \"hardware_threads\": " << hw << ",\n  \"rows\": [\n";
+       << ",\n  \"rows\": [\n";
     for (std::size_t i = 0; i < rows.size(); ++i) {
       const Row& r = rows[i];
       js << "    {\"instance\": \"" << r.instance << "\", \"impl\": \""
-         << r.impl << "\", \"threads\": " << r.threads
-         << ", \"edges_per_pass\": " << r.edges
+         << r.impl << "\", \"edges_per_pass\": " << r.edges
          << ", \"best_seconds\": " << r.seconds
          << ", \"edges_per_s\": " << r.edges_per_s << "}"
          << (i + 1 < rows.size() ? "," : "") << "\n";
@@ -337,8 +282,7 @@ int bench_main(int argc, const char* const* argv) {
   // Separate instrumented pass for --metrics-out, after all timing: one
   // arena certification pass per workload with each scan recorded into
   // time.certify.scan_us, the per-scan latency distribution EXPERIMENTS.md
-  // A11 reads. Runs serial so every scan's wall-clock is one scan, not a
-  // pool dispatch.
+  // A11 reads.
   if (!opt.metrics_out.empty()) {
     obs::MetricsRegistry registry;
     const obs::CounterHandle scans = registry.counter("certify.scans");
@@ -348,17 +292,17 @@ int bench_main(int argc, const char* const* argv) {
       for (const Matching& m : w.matchings) {
         {
           const obs::ScopedTimer timer(scan_us);
-          DASM_CHECK(count_blocking_pairs(w.inst, m, nullptr) >= 0);
+          DASM_CHECK(count_blocking_pairs(w.inst, m) >= 0);
         }
         scans.inc();
         {
           const obs::ScopedTimer timer(scan_us);
-          DASM_CHECK(count_eps_blocking_pairs(w.inst, m, kEps, nullptr) >= 0);
+          DASM_CHECK(count_eps_blocking_pairs(w.inst, m, kEps) >= 0);
         }
         scans.inc();
         {
           const obs::ScopedTimer timer(scan_us);
-          DASM_CHECK(compute_metrics(w.inst, m, nullptr).matched_pairs >= 0);
+          DASM_CHECK(compute_metrics(w.inst, m).matched_pairs >= 0);
         }
         scans.inc();
       }

@@ -30,12 +30,11 @@ inline bool large_mode() {
 
 /// The flags every experiment binary shares, parsed once per main:
 ///
-///   --threads N    sweep/step worker threads (Layer 2 / Layer 1 of the
-///                  parallel engine; DESIGN.md §6). Absent or <= 0 selects
-///                  hardware concurrency; --threads 1 reproduces the old
-///                  serial runs byte for byte (sweeps aggregate in
-///                  cell-index order, so every value prints the same
-///                  tables).
+///   --threads N    sweep worker threads (the one parallel layer;
+///                  DESIGN.md §6). Absent or <= 0 selects hardware
+///                  concurrency; --threads 1 runs the cells inline (sweeps
+///                  aggregate in cell-index order, so every value prints
+///                  the same tables).
 ///   --trace-out P  write an observability trace (src/obs/) of one
 ///                  representative run to P: ".json" selects Chrome
 ///                  trace-event JSON, anything else the JSONL form

@@ -5,7 +5,7 @@
 // executed rounds: it must be far below any polynomial in n.
 //
 // The (family, n, seed) grid runs as independent cells on a SweepRunner
-// (Layer 2 of the parallel engine; --threads N); the per-row Summary
+// (DESIGN.md §6; --threads N); the per-row Summary
 // streams consume the cell results in index order, so the printed tables
 // are identical at every thread count.
 #include <iostream>

@@ -3,8 +3,8 @@
 // We measure the success rate over seeds and the growth of both the fixed
 // schedule (the theory bound, ~log^2 n) and the executed rounds.
 //
-// The (n, seed) grid runs as independent cells on a SweepRunner (Layer 2
-// of the parallel engine; --threads N); aggregation consumes the cells in
+// The (n, seed) grid runs as independent cells on a SweepRunner
+// (DESIGN.md §6; --threads N); aggregation consumes the cells in
 // index order, so the printed tables are identical at every thread count.
 #include <cmath>
 #include <iostream>

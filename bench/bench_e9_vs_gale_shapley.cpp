@@ -4,8 +4,8 @@
 // not grow with n. This is the paper's core trade: approximation buys
 // round complexity.
 //
-// Both tables run their independent cells on a SweepRunner (Layer 2 of
-// the parallel engine; --threads N) — the per-n chain cells in one grid,
+// Both tables run their independent cells on a SweepRunner (DESIGN.md §6;
+// --threads N) — the per-n chain cells in one grid,
 // the uniform (n, seed) cells in another — and aggregate in index order,
 // so the printed tables are identical at every thread count.
 #include <iostream>

@@ -5,9 +5,9 @@
 #   ./run_experiments.sh --check     # sanitizer gate (ASan+UBSan, then TSan)
 #                                    # + observability suite + trace smoke
 #
-# --threads N sets the sweep worker count of every bench binary (Layer 2
-# of the parallel engine); absent or 0 selects hardware concurrency, and
-# 1 reproduces the old serial sweeps byte for byte.
+# --threads N sets the sweep worker count of every bench binary (the one
+# parallel layer, DESIGN.md §6); absent or 0 selects hardware
+# concurrency, and every value prints the same tables.
 #
 # DASM_BENCH_LARGE=1 enlarges the sweeps (slower, same shapes).
 #
@@ -24,14 +24,12 @@ if [ "${1:-}" = "--check" ]; then
   cmake --preset asan
   cmake --build --preset asan
   ctest --preset asan -j "$jobs"
-  # The observability suite (recorder lanes, exporters, cross-thread-count
-  # determinism) by label, so a filter change in the preset cannot silently
-  # drop it.
+  # The observability suite (recorder, exporters, determinism) by label,
+  # so a filter change in the preset cannot silently drop it.
   ctest --test-dir build-asan -L obs --output-on-failure -j "$jobs"
-  # Sanitizer gate 2: the parallel round engine (send lanes, thread pool,
-  # sweep runner) runs under TSan; the preset filters to the network,
-  # parallel-engine, and obs suites, which drive every multi-threaded
-  # code path.
+  # Sanitizer gate 2: the one parallel layer (thread pool, sweep runner,
+  # service batches) runs under TSan; the preset filters to the suites
+  # that drive every multi-threaded code path.
   cmake --preset tsan
   cmake --build --preset tsan
   ctest --preset tsan -j "$jobs"
@@ -77,7 +75,7 @@ EOF
   echo "bench_a9 smoke OK"
   # Bench A10 smoke: the certifier-throughput bench cross-checks the
   # flat-arena scans against the map reference (identity DASM_CHECKs and
-  # the >= 3x serial verdict) and its JSON must parse.
+  # the >= 3x verdict) and its JSON must parse.
   cmake --build build --target bench_a10_certifier_throughput
   build/bench/bench_a10_certifier_throughput --n 300 \
     --json-out "$smoke/a10.json" >/dev/null

@@ -4,14 +4,13 @@
 // describes how an unreliable one misbehaves: per-edge message loss,
 // duplication, bounded delay (which induces reordering across rounds), and
 // crash-stop node failures at scheduled rounds. The Network consults the
-// plan when committing staged sends in end_round().
+// plan on every send and in end_round().
 //
 // Determinism contract: every fault decision is drawn from a counter-based
 // PRNG keyed on (plan seed, wire round, directed edge, copy id) — never
 // from a wall clock, iteration order, or shared mutable generator state.
-// Because the send-lane merge already reproduces the node-id-major serial
-// commit order at every thread count, the same seed and plan yield
-// byte-identical inboxes, NetStats, and traces regardless of threads.
+// A run is serial and sends in node-id-major order, so the same seed and
+// plan yield byte-identical inboxes, NetStats, and traces.
 #pragma once
 
 #include <cstdint>

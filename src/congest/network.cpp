@@ -7,7 +7,6 @@
 #include <limits>
 #include <utility>
 
-#include "par/thread_pool.hpp"
 #include "util/check.hpp"
 
 namespace dasm {
@@ -160,9 +159,6 @@ void Network::begin_round() {
 void Network::send(NodeId from, NodeId to, const Message& msg) {
   DASM_CHECK_MSG(round_open_, "send() outside begin_round()/end_round()");
   DASM_CHECK(from >= 0 && from < node_count());
-  // The model checks run at send time even in parallel rounds: the stamp
-  // region of `from` is written only by the pool worker that owns `from`,
-  // so no two threads touch the same slot.
   auto& stamp = sent_stamp_[edge_slot(from, to)];
   DASM_CHECK_MSG(stamp != round_serial_,
                  "two messages on directed edge " << from << " -> " << to
@@ -174,31 +170,6 @@ void Network::send(NodeId from, NodeId to, const Message& msg) {
                             << " bits; CONGEST budget is " << bit_budget_);
   DASM_DCHECK(static_cast<std::size_t>(msg.type) <
               stats_.messages_by_type.size());
-  if (lane_count_ > 1) {
-    const int worker = par::ThreadPool::current_worker();
-    DASM_DCHECK(worker >= 0 && worker < lane_count_);
-    lanes_[static_cast<std::size_t>(worker)].staged.push_back(
-        PendingSend{from, to, bits, msg});
-    return;
-  }
-  commit_send(from, to, bits, msg);
-}
-
-void Network::record_trace_event(NodeId from, NodeId to, const Message& msg) {
-  if (trace_cap_ == 0) return;
-  const TraceEvent event{stats_.executed_rounds, from, to, msg};
-  if (trace_size_ < trace_cap_) {
-    trace_ring_[(trace_start_ + trace_size_) % trace_cap_] = event;
-    ++trace_size_;
-  } else {
-    trace_ring_[trace_start_] = event;
-    trace_start_ = (trace_start_ + 1) % trace_cap_;
-    ++trace_dropped_;
-  }
-}
-
-void Network::commit_send(NodeId from, NodeId to, int bits,
-                          const Message& msg) {
   record_trace_event(from, to, msg);
   // messages/bits count the protocol's offered load whether or not the
   // fault layer then loses the copy; the fault counters partition its fate.
@@ -221,36 +192,23 @@ void Network::commit_send(NodeId from, NodeId to, int bits,
   ++stats_.delivered;
 }
 
-void Network::set_send_lanes(int lanes) {
-  DASM_CHECK_MSG(!round_open_, "set_send_lanes() while a round is open");
-  DASM_CHECK_MSG(lanes >= 1, "send lane count must be >= 1");
-  lane_count_ = lanes;
-  lanes_.clear();
-  if (lanes > 1) {
-    lanes_.resize(static_cast<std::size_t>(lanes));
-    // A lane holds roughly one static chunk's share of a saturated round;
-    // imbalanced chunks grow their lane once and keep the capacity.
-    const std::size_t hint =
-        slot_offset_.back() / static_cast<std::size_t>(lanes) + 16;
-    for (SendLane& lane : lanes_) lane.staged.reserve(hint);
-  }
-}
-
-void Network::flush_lanes() {
-  if (lane_count_ <= 1) return;
-  DASM_CHECK_MSG(round_open_, "flush_lanes() outside a round");
-  for (SendLane& lane : lanes_) {
-    for (const PendingSend& s : lane.staged) {
-      commit_send(s.from, s.to, s.bits, s.msg);
-    }
-    lane.staged.clear();
+void Network::record_trace_event(NodeId from, NodeId to, const Message& msg) {
+  if (trace_cap_ == 0) return;
+  const TraceEvent event{stats_.executed_rounds, from, to, msg};
+  if (trace_size_ < trace_cap_) {
+    trace_ring_[(trace_start_ + trace_size_) % trace_cap_] = event;
+    ++trace_size_;
+  } else {
+    trace_ring_[trace_start_] = event;
+    trace_start_ = (trace_start_ + 1) % trace_cap_;
+    ++trace_dropped_;
   }
 }
 
 void Network::end_round() {
   // The metrics wrapper: with no registry attached this is one branch in
-  // front of the real work; with one, it times the full close (lane flush,
-  // fault-layer wire rounds, arena flip) and records the round's offered
+  // front of the real work; with one, it times the full close
+  // (fault-layer wire rounds, arena flip) and records the round's offered
   // load. Both figures cover the fault path because end_round_impl()
   // returns only after publish_fault_round().
   if (!m_end_round_us_.active()) [[likely]] {
@@ -267,7 +225,6 @@ void Network::end_round() {
 
 void Network::end_round_impl() {
   DASM_CHECK_MSG(round_open_, "end_round() without begin_round()");
-  flush_lanes();
   round_open_ = false;
   if (fault_mode_) [[unlikely]] {
     // One protocol round expands into wire rounds: at least one, and with

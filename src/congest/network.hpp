@@ -142,41 +142,15 @@ class Network {
 
   /// Closes the round: delivers this round's messages into the inboxes
   /// read during the next round and updates statistics. Allocation-free.
-  /// If send lanes are active, any still-staged sends are flushed first.
   void end_round();
 
-  /// Parallel execution support (Layer 1; see DESIGN.md §6). With `lanes`
-  /// > 1, send() stages each message in the lane of the calling pool
-  /// worker (par::ThreadPool::current_worker()) instead of committing it
-  /// immediately; flush_lanes() / end_round() then commits the staged
-  /// sends lane by lane in worker order. Because the thread pool's static
-  /// chunking assigns worker w the w-th contiguous block of node ids, the
-  /// lane-order merge reproduces the node-id-major sequential send order
-  /// exactly — inbox contents, NetStats, trace events, and the silent
-  /// flag are bit-identical to a serial execution at every lane count.
-  /// Contract: during a parallel round, net.send(from, ...) must be
-  /// called by the worker whose chunk owns `from` (which is what a
-  /// parallel_for over the players does by construction).
-  /// Pass 1 to return to direct (serial) sends. Only callable between
-  /// rounds.
-  void set_send_lanes(int lanes);
-  int send_lanes() const { return lane_count_; }
-
-  /// Commits every staged send into the delivery arena, stats, and trace,
-  /// in lane order, and empties the lanes. end_round() calls this
-  /// automatically; engines call it between sub-loops of a single round
-  /// whose sequential send orders must not interleave (e.g. the men's
-  /// loop before the women's loop of an MM round). No-op when lanes are
-  /// inactive.
-  void flush_lanes();
-
   /// Fault injection (DESIGN.md §8). Installs a seeded FaultPlan; from the
-  /// next round on, end_round() consults it when committing staged sends:
-  /// copies may be dropped, duplicated, or delayed, and crashed nodes stop
-  /// sending and receiving. Fault decisions come from a counter-based PRNG
-  /// keyed on (plan seed, wire round, edge, copy id), so the same seed and
-  /// plan reproduce byte-identical inboxes, NetStats, and traces at every
-  /// thread count. Only callable between rounds. Passing a default
+  /// next round on, every send and end_round() consult it: copies may be
+  /// dropped, duplicated, or delayed, and crashed nodes stop sending and
+  /// receiving. Fault decisions come from a counter-based PRNG keyed on
+  /// (plan seed, wire round, edge, copy id), so the same seed and plan
+  /// reproduce byte-identical inboxes, NetStats, and traces. Only
+  /// callable between rounds. Passing a default
   /// (inactive) plan with no reliability sublayer restores the
   /// zero-allocation fast path.
   void set_fault_plan(const FaultPlan& plan);
@@ -223,20 +197,19 @@ class Network {
   const NetStats& stats() const { return stats_; }
 
   /// Wall-clock metrics (src/obs/metrics.hpp, DESIGN.md §11). Registers
-  /// `time.net.end_round_us` (flush/commit latency per round) and
+  /// `time.net.end_round_us` (commit latency per round) and
   /// `net.round_messages` (offered load per round — logical, hence
-  /// byte-identical at any thread count) in `registry` and records them
-  /// on every subsequent end_round(). Pass nullptr to detach; when
-  /// detached (the default) end_round() pays one branch and never reads
-  /// the clock. Only callable between rounds, on the driver thread.
+  /// byte-identical run to run) in `registry` and records them on every
+  /// subsequent end_round(). Pass nullptr to detach; when detached (the
+  /// default) end_round() pays one branch and never reads the clock. Only
+  /// callable between rounds.
   void set_metrics(obs::MetricsRegistry* registry);
 
   /// Observability hook (src/obs/): invoked at the end of every
-  /// end_round(), after staged lanes have been committed and the round's
-  /// statistics are final, with the cumulative stats. The callback runs
-  /// on the thread that called end_round() and must not send on or
-  /// mutate the network. Pass an empty function to clear the hook. Costs
-  /// one branch per round when unset.
+  /// end_round(), once the round's statistics are final, with the
+  /// cumulative stats. The callback must not send on or mutate the
+  /// network. Pass an empty function to clear the hook. Costs one branch
+  /// per round when unset.
   void set_round_hook(std::function<void(const NetStats&)> hook);
 
   /// Starts recording every transmission into a fixed-capacity ring of
@@ -257,21 +230,6 @@ class Network {
     std::vector<Envelope> slots;
     std::vector<NodeId> fill;
     std::vector<NodeId> dirty;
-  };
-
-  // A send staged by one pool worker during a parallel round. The bit
-  // size is computed (and budget-checked) at send time so the commit loop
-  // stays a straight-line copy into the arena.
-  struct PendingSend {
-    NodeId from;
-    NodeId to;
-    int bits;
-    Message msg;
-  };
-  // Cache-line aligned so two workers pushing into adjacent lanes never
-  // contend on the vector headers.
-  struct alignas(64) SendLane {
-    std::vector<PendingSend> staged;
   };
 
   // ---- Fault-injection state (DESIGN.md §8) ----
@@ -320,8 +278,6 @@ class Network {
   std::vector<std::uint32_t> port_mask_; // region size - 1 per node
   std::vector<std::int64_t> sent_stamp_; // parallel to port_key_
   std::int64_t round_serial_ = 0;
-  std::vector<SendLane> lanes_;
-  int lane_count_ = 1;
   bool round_open_ = false;
   bool last_round_silent_ = true;
   int bit_budget_ = 0;
@@ -349,7 +305,7 @@ class Network {
   // which inbox() serves. The ring holds in-flight copies indexed by
   // due-wire-round modulo its size (sized past max_delay so slots never
   // collide). Fault mode allocates; the fault-free fast path in
-  // commit_send()/end_round() costs one predicted branch.
+  // send()/end_round() costs one predicted branch.
   bool fault_mode_ = false;
   FaultPlan plan_;
   std::uint64_t drop_threshold_ = 0;
@@ -376,7 +332,6 @@ class Network {
 
   std::size_t edge_slot(NodeId from, NodeId to) const;
   void end_round_impl();
-  void commit_send(NodeId from, NodeId to, int bits, const Message& msg);
   void record_trace_event(NodeId from, NodeId to, const Message& msg);
   bool node_crashed(NodeId v, std::int64_t wire_round) const;
   std::uint64_t drop_threshold_for(NodeId from, NodeId to) const;

@@ -39,13 +39,9 @@ AsmEngine::AsmEngine(const Instance& inst, const AsmParams& params)
                         player_k(inst.woman_pref(w)),
                         make_mm(bg.woman_id(w)));
   }
-  DASM_CHECK_MSG(params.threads >= 0, "AsmParams::threads must be >= 0");
-  const int threads =
-      params.threads == 0 ? par::hardware_threads() : params.threads;
-  if (threads > 1) {
-    pool_ = std::make_unique<par::ThreadPool>(threads);
-    net_.set_send_lanes(threads);
-  }
+  DASM_CHECK_MSG(params.threads == 1,
+                 "AsmParams::threads must be 1 (a run is serial), got "
+                     << params.threads);
   if (params.net_trace_events > 0) net_.enable_trace(params.net_trace_events);
   if (params.fault_plan.active()) net_.set_fault_plan(params.fault_plan);
   if (params.retransmit_after > 0) {
@@ -53,17 +49,10 @@ AsmEngine::AsmEngine(const Instance& inst, const AsmParams& params)
                                 params.max_retransmits);
   }
   if (rec_.enabled()) {
-    // Obs events are staged in per-worker lanes and committed in worker
-    // order at every round boundary — the same deterministic-merge
-    // contract as the send lanes (DESIGN.md §7).
-    rec_.set_lanes(threads > 1 ? threads : 1);
     net_.set_round_hook(
         [this](const NetStats& stats) { rec_.on_round(stats); });
   }
   if (params.metrics != nullptr && obs::MetricsRegistry::enabled()) {
-    // Registration happens here, on the driver thread, before any parallel
-    // region; recording then lands in per-worker lanes (DESIGN.md §11).
-    params.metrics->ensure_lanes(threads > 1 ? threads : 1);
     m_runs_ = params.metrics->counter("engine.runs");
     m_outer_iters_ = params.metrics->counter("engine.outer_iters");
     m_inner_iters_ = params.metrics->counter("engine.inner_iters");
@@ -184,17 +173,13 @@ void AsmEngine::emit_inner_counters() {
   rec_.counter(obs::Counter::kMatchedPairs, round, matched);
   rec_.counter(obs::Counter::kMenWithLiveTargets, round, live_targets);
   if (params_.obs_blocking_pairs) {
-    // Called between rounds from the main thread, so the engine's pool is
-    // idle and the certifier can shard the scan over it; the parallel
-    // counts are bit-identical to the serial ones.
     const obs::ScopedTimer certify_timer(m_certify_us_);
     const Matching m = current_matching();
     rec_.counter(obs::Counter::kBlockingPairs, round,
-                 count_blocking_pairs(*inst_, m, pool_.get()));
+                 count_blocking_pairs(*inst_, m));
     rec_.counter(obs::Counter::kEpsBlockingPairs, round,
                  count_eps_blocking_pairs(
-                     *inst_, m, 2.0 / static_cast<double>(sched_.k),
-                     pool_.get()));
+                     *inst_, m, 2.0 / static_cast<double>(sched_.k)));
   }
 }
 

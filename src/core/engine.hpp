@@ -6,7 +6,6 @@
 // result assembly).
 #pragma once
 
-#include <memory>
 #include <vector>
 
 #include "congest/network.hpp"
@@ -15,7 +14,6 @@
 #include "core/result.hpp"
 #include "core/schedule.hpp"
 #include "obs/trace.hpp"
-#include "par/thread_pool.hpp"
 #include "stable/instance.hpp"
 
 namespace dasm::core {
@@ -58,36 +56,21 @@ class AsmEngine {
 
   AsmResult build_result();
 
-  // Steps every man (resp. woman) through f, across the thread pool when
-  // AsmParams::threads > 1. CONGEST guarantees the steps of one round are
-  // independent — each player reads only its own state and inbox and
-  // writes only its own state and outgoing edges — so the partitioning is
-  // semantics-preserving; the network's send lanes restore the
-  // sequential node-id-major send order at commit time (DESIGN.md §6).
+  // Steps every man (resp. woman) through f in node-id order — the send
+  // order every trace and inbox reflects (DESIGN.md §6).
   template <typename F>
   void for_each_man(F&& f) {
-    if (pool_) {
-      pool_->parallel_for(0, inst_->n_men(),
-                          [&](std::int64_t m) { f(static_cast<NodeId>(m)); });
-    } else {
-      for (NodeId m = 0; m < inst_->n_men(); ++m) f(m);
-    }
+    for (NodeId m = 0; m < inst_->n_men(); ++m) f(m);
   }
   template <typename F>
   void for_each_woman(F&& f) {
-    if (pool_) {
-      pool_->parallel_for(0, inst_->n_women(),
-                          [&](std::int64_t w) { f(static_cast<NodeId>(w)); });
-    } else {
-      for (NodeId w = 0; w < inst_->n_women(); ++w) f(w);
-    }
+    for (NodeId w = 0; w < inst_->n_women(); ++w) f(w);
   }
 
   const Instance* inst_;
   AsmParams params_;
   Schedule sched_;
   Network net_;
-  std::unique_ptr<par::ThreadPool> pool_;  // null = serial engine
   std::vector<ManPlayer> men_;
   std::vector<WomanPlayer> women_;
 

@@ -90,11 +90,9 @@ struct AsmParams {
   /// behaviour the approximation guarantee buys.
   std::int64_t max_rounds = 0;
 
-  /// Worker threads stepping players inside each CONGEST round (Layer 1
-  /// of the parallel engine; DESIGN.md §6). 1 = the serial engine, 0 =
-  /// hardware concurrency. Every value yields bit-identical results —
-  /// the network's per-thread send lanes merge in node-id-major order,
-  /// and randomized backends draw from per-node PRNG streams.
+  /// Must stay 1: a run is serial (DESIGN.md §6), and any other value is
+  /// a CheckError. The field remains only because servebench/replay.cpp,
+  /// which is frozen together with the benchmark, assigns it.
   int threads = 1;
 
   /// Record the last `net_trace_events` network transmissions (a
@@ -107,8 +105,7 @@ struct AsmParams {
   /// subcall), per-inner-iteration counters, and per-round NetStats
   /// samples into it. Non-owning; the sink must outlive the run. Null
   /// disables recording entirely (every hook is then a null check).
-  /// Exported traces are bit-identical at every `threads` value — see
-  /// DESIGN.md §7.
+  /// Exported traces are bit-identical run to run — see DESIGN.md §7.
   obs::TraceSink* obs_sink = nullptr;
 
   /// Wall-clock metrics registry (src/obs/metrics.hpp, DESIGN.md §11):
@@ -118,18 +115,17 @@ struct AsmParams {
   /// histograms (time.engine.outer_us / inner_us / certify_us,
   /// time.net.end_round_us). Non-owning; must outlive the run, and must
   /// not be shared with engines running concurrently on other threads —
-  /// registration and lane sizing are driver-thread operations. Logical
-  /// metrics are byte-identical at every `threads` value; "time.*" is
-  /// excluded from that contract. Null disables recording (inactive
-  /// handles cost one branch per site).
+  /// a registry has exactly one writer. Logical metrics are
+  /// byte-identical run to run; "time.*" is excluded from that contract.
+  /// Null disables recording (inactive handles cost one branch per site).
   obs::MetricsRegistry* metrics = nullptr;
 
   /// Fault injection (DESIGN.md §8): when active, the engine installs the
   /// plan on its Network before round 0, so messages can be dropped,
   /// duplicated, or delayed. Determinism is preserved — same plan (seed
-  /// included) ⇒ bit-identical results and traces at every `threads`
-  /// value. Without the reliability sublayer below, losses reach the
-  /// protocol and the paper's guarantees no longer apply.
+  /// included) ⇒ bit-identical results and traces. Without the
+  /// reliability sublayer below, losses reach the protocol and the
+  /// paper's guarantees no longer apply.
   FaultPlan fault_plan;
 
   /// Reliability sublayer (Network::set_reliable_transport): with a value

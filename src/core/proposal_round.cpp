@@ -42,9 +42,6 @@ int AsmEngine::run_mm_phase() {
         const auto inbox = net_.inbox(bg.man_id(m));
         first ? man.mm_first_round(inbox, net_) : man.mm_round(inbox, net_);
       });
-      // Sequentially every man sends before any woman: flush the men's
-      // staged sends so the two sub-loops' commit orders don't interleave.
-      net_.flush_lanes();
       for_each_woman([&](NodeId w) {
         auto& woman = women_[static_cast<std::size_t>(w)];
         const auto inbox = net_.inbox(bg.woman_id(w));

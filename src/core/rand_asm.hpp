@@ -23,9 +23,10 @@ struct RandAsmParams {
   double decay = 0.75;
   bool record_trace = false;
   bool trim_quiescent_phases = true;
-  /// Intra-round worker threads (see AsmParams::threads); seed-stable at
-  /// every value because each Israeli–Itai node draws from its own
-  /// derive_stream(seed, node_id) PRNG stream.
+  /// Must stay 1; any other value is a CheckError (see
+  /// AsmParams::threads). The field remains only because
+  /// servebench/replay.cpp, which is frozen together with the benchmark,
+  /// assigns it.
   int threads = 1;
   /// See AsmParams::net_trace_events.
   std::size_t net_trace_events = 0;

@@ -4,7 +4,6 @@
 #include "mm/pointer_greedy.hpp"
 #include "mm/random_priority.hpp"
 #include "obs/trace.hpp"
-#include "par/thread_pool.hpp"
 #include "util/check.hpp"
 
 namespace dasm::mm {
@@ -52,22 +51,17 @@ RunResult run_maximal_matching(const Graph& g,
     }
   }
 
+  DASM_CHECK_MSG(config.threads == 1,
+                 "RunConfig::threads must be 1 (a run is serial), got "
+                     << config.threads);
   Network net(g.adjacency());
-  DASM_CHECK_MSG(config.threads >= 0, "RunConfig::threads must be >= 0");
-  const int threads =
-      config.threads == 0 ? par::hardware_threads() : config.threads;
-  std::unique_ptr<par::ThreadPool> pool;
-  if (threads > 1 && n > 1) {
-    pool = std::make_unique<par::ThreadPool>(threads);
-    net.set_send_lanes(threads);
-  }
   if (config.trace_events > 0) net.enable_trace(config.trace_events);
   if (config.fault_plan.active()) net.set_fault_plan(config.fault_plan);
   if (config.retransmit_after > 0) {
     net.set_reliable_transport(config.retransmit_after,
                                config.max_retransmits);
   }
-  obs::Recorder rec(config.obs_sink, pool ? threads : 1);
+  obs::Recorder rec(config.obs_sink);
   if (rec.enabled()) {
     net.set_round_hook([&rec](const NetStats& stats) { rec.on_round(stats); });
   }
@@ -106,18 +100,8 @@ RunResult run_maximal_matching(const Graph& g,
     const NetStats at_iteration_start = net.stats();
     for (int r = 0; r < rounds_per_iter; ++r) {
       net.begin_round();
-      if (pool) {
-        // Node steps within a round are independent (each reads only its
-        // delivered inbox, writes only its own edges); the send lanes
-        // restore the sequential node-id-major commit order.
-        pool->parallel_for(0, n, [&](std::int64_t v) {
-          nodes[static_cast<std::size_t>(v)]->on_round(
-              net.inbox(static_cast<NodeId>(v)), net);
-        });
-      } else {
-        for (NodeId v = 0; v < n; ++v) {
-          nodes[static_cast<std::size_t>(v)]->on_round(net.inbox(v), net);
-        }
+      for (NodeId v = 0; v < n; ++v) {
+        nodes[static_cast<std::size_t>(v)]->on_round(net.inbox(v), net);
       }
       net.end_round();
     }

@@ -28,15 +28,12 @@ struct RunConfig {
   /// maximal). Disable to always consume the full iteration budget, as a
   /// fixed-schedule CONGEST execution would.
   bool stop_on_quiescence = true;
-  /// Worker threads stepping nodes inside each round (Layer 1 of the
-  /// parallel engine; DESIGN.md §6). 1 = serial, 0 = hardware
-  /// concurrency. Bit-identical results at every value — send lanes merge
-  /// in node-id-major order and randomized nodes use per-node PRNG
-  /// streams.
+  /// Must stay 1: a run is serial (DESIGN.md §6), and any other value is
+  /// a CheckError. The field remains only because servebench/replay.cpp,
+  /// which is frozen together with the benchmark, assigns it.
   int threads = 1;
   /// Record the last `trace_events` transmissions into RunResult::trace
-  /// (0 disables) — the witness the parallel/serial equivalence tests
-  /// compare.
+  /// (0 disables).
   std::size_t trace_events = 0;
   /// Observability sink (src/obs/): when set, the runner records a kRun
   /// span, one kMmIteration span + kMmLiveNodes counter per protocol

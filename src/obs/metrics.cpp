@@ -80,29 +80,20 @@ int MetricsRegistry::register_metric(std::string_view name, Kind kind) {
   int slot = 0;
   switch (kind) {
     case Kind::kCounter:
-      slot = counter_slots_++;
+      slot = static_cast<int>(counters_.size());
+      counters_.push_back(0);
       break;
     case Kind::kGauge:
       slot = static_cast<int>(gauges_.size());
       gauges_.push_back(0);
       break;
     case Kind::kHistogram:
-      slot = hist_slots_++;
+      slot = static_cast<int>(hists_.size());
+      hists_.emplace_back();
       break;
   }
   metrics_.push_back(Metric{std::string(name), kind, slot});
-  for (Lane& lane : lanes_) size_lane(lane);
   return slot;
-}
-
-void MetricsRegistry::size_lane(Lane& lane) const {
-  lane.counters.resize(static_cast<std::size_t>(counter_slots_), 0);
-  const std::size_t old = lane.hists.size();
-  lane.hists.resize(static_cast<std::size_t>(hist_slots_));
-  for (std::size_t i = old; i < lane.hists.size(); ++i) {
-    lane.hists[i].buckets.assign(
-        static_cast<std::size_t>(HistogramLayout::kBucketCount), 0);
-  }
 }
 
 MetricsSnapshot MetricsRegistry::snapshot(bool include_wall_clock) const {
@@ -110,34 +101,27 @@ MetricsSnapshot MetricsRegistry::snapshot(bool include_wall_clock) const {
   for (const Metric& m : metrics_) {
     if (!include_wall_clock && is_wall_clock_metric(m.name)) continue;
     switch (m.kind) {
-      case Kind::kCounter: {
-        std::int64_t total = 0;
-        for (const Lane& lane : lanes_) {
-          total += lane.counters[static_cast<std::size_t>(m.slot)];
-        }
-        snap.counters.push_back({m.name, total});
+      case Kind::kCounter:
+        snap.counters.push_back(
+            {m.name, counters_[static_cast<std::size_t>(m.slot)]});
         break;
-      }
       case Kind::kGauge:
         snap.gauges.push_back(
             {m.name, gauges_[static_cast<std::size_t>(m.slot)]});
         break;
       case Kind::kHistogram: {
+        const Hist& src = hists_[static_cast<std::size_t>(m.slot)];
         HistogramSnapshot h;
         h.name = m.name;
-        for (const Lane& lane : lanes_) {
-          const HistLane& src = lane.hists[static_cast<std::size_t>(m.slot)];
-          if (src.count <= 0) continue;
-          HistogramSnapshot part;
-          part.count = src.count;
-          part.sum = src.sum;
-          part.min = src.min;
-          part.max = src.max;
+        if (src.count > 0) {
+          h.count = src.count;
+          h.sum = src.sum;
+          h.min = src.min;
+          h.max = src.max;
           for (int b = 0; b < HistogramLayout::kBucketCount; ++b) {
             const std::int64_t n = src.buckets[static_cast<std::size_t>(b)];
-            if (n != 0) part.buckets.emplace_back(b, n);
+            if (n != 0) h.buckets.emplace_back(b, n);
           }
-          h.merge(part);
         }
         snap.histograms.push_back(std::move(h));
         break;

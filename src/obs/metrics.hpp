@@ -16,22 +16,22 @@
 //                 two snapshots merge bucket-wise and quantiles are
 //                 computable offline.
 //
-// Determinism contract (DESIGN.md §6/§11): counter increments and
-// histogram observations are staged in per-worker cache-aligned lanes and
-// merged in worker order at snapshot time. All lane merges are additive
-// (sum/count/min/max/bucket adds commute), so a *logical* metric — one
-// driven by deterministic quantities like message or iteration counts —
-// is byte-identical in the serialized snapshot at every thread count.
-// Wall-clock timings are inherently nondeterministic; they live in the
-// segregated "time." name prefix, which snapshot(/*include_wall_clock=*/
-// false) excludes — that filtered snapshot is what the determinism tests
-// byte-compare.
+// Determinism contract (DESIGN.md §11): a registry has exactly one
+// writer — the thread driving the run or the service — so a *logical*
+// metric, one driven by deterministic quantities like message or
+// iteration counts, is byte-identical in the serialized snapshot run to
+// run. Histogram observations commute (sum/count/min/max/bucket adds), so
+// the service's per-cell timings, observed by the service's own thread
+// after a sweep, do not depend on which worker ran which cell. Wall-clock timings are
+// inherently nondeterministic; they live in the segregated "time." name
+// prefix, which snapshot(/*include_wall_clock=*/false) excludes — that
+// filtered snapshot is what the determinism tests byte-compare.
 //
 // Cost contract: an inactive handle (default-constructed, or any handle
 // under DASM_OBS_DISABLED) makes every recording call a null check and
 // every ScopedTimer a no-op that never reads the clock. Recording into an
-// active handle is a few arithmetic ops on preallocated lane storage —
-// no allocation, no locks.
+// active handle is a few arithmetic ops on preallocated storage — no
+// allocation, no locks.
 //
 // Snapshots export as Prometheus text exposition (scrapable once the
 // ROADMAP's TCP front end exists) or as a JSONL form that
@@ -50,7 +50,6 @@
 #include <utility>
 #include <vector>
 
-#include "par/thread_pool.hpp"
 #include "util/check.hpp"
 
 namespace dasm::obs {
@@ -246,8 +245,6 @@ class MetricsRegistry {
   CounterHandle counter(std::string_view) { return {}; }
   GaugeHandle gauge(std::string_view) { return {}; }
   HistogramHandle histogram(std::string_view) { return {}; }
-  void ensure_lanes(int) {}
-  int lanes() const { return 1; }
   MetricsSnapshot snapshot(bool = true) const { return {}; }
 };
 
@@ -304,20 +301,15 @@ class HistogramHandle {
   int slot_ = -1;
 };
 
-/// The registry. Threading model (the obs Recorder's, DESIGN.md §7):
-///
-///   - counter()/gauge()/histogram()/ensure_lanes()/snapshot() run on the
-///     driver thread only, between parallel regions;
-///   - inc()/observe() may run on any pool worker — each stages into its
-///     own cache-aligned lane (par::ThreadPool::current_worker());
-///   - set() is driver-thread-only (gauges are not laned: last write
-///     wins, which has no deterministic parallel merge).
+/// The registry. Threading model (the obs Recorder's, DESIGN.md §7): one
+/// thread registers, records and snapshots; sweep cells never touch it
+/// (they return what they measure through their result slots).
 ///
 /// Registration is idempotent: the same name always returns the same
 /// handle; re-registering under a different kind is a CheckError.
 class MetricsRegistry {
  public:
-  MetricsRegistry() : lanes_(1) {}
+  MetricsRegistry() = default;
 
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
@@ -334,22 +326,9 @@ class MetricsRegistry {
     return HistogramHandle(this, register_metric(name, Kind::kHistogram));
   }
 
-  /// Grows the lane set to at least `lanes` (never shrinks — growing
-  /// under an engine with fewer workers keeps existing handles valid).
-  /// Driver thread only, between parallel regions.
-  void ensure_lanes(int lanes) {
-    DASM_CHECK_MSG(lanes >= 1, "metrics lane count must be >= 1");
-    while (lanes_.size() < static_cast<std::size_t>(lanes)) {
-      lanes_.emplace_back();
-      size_lane(lanes_.back());
-    }
-  }
-  int lanes() const { return static_cast<int>(lanes_.size()); }
-
-  /// Merges every lane in worker order into a snapshot, each section
-  /// sorted by name. With include_wall_clock = false the "time." metrics
-  /// are excluded — this is the logical snapshot the determinism tests
-  /// byte-compare across thread counts.
+  /// The registry's state, each section sorted by name. With
+  /// include_wall_clock = false the "time." metrics are excluded — this is
+  /// the logical snapshot the determinism tests byte-compare.
   MetricsSnapshot snapshot(bool include_wall_clock = true) const;
 
  private:
@@ -365,34 +344,19 @@ class MetricsRegistry {
     int slot;  ///< index into the kind's storage
   };
 
-  struct HistLane {
+  struct Hist {
     std::int64_t count = 0;
     std::int64_t sum = 0;
     std::int64_t min = std::numeric_limits<std::int64_t>::max();
     std::int64_t max = std::numeric_limits<std::int64_t>::min();
-    std::vector<std::int64_t> buckets;  ///< size kBucketCount once sized
-  };
-
-  // Cache-line aligned for the same reason as the Network's send lanes:
-  // two workers recording into adjacent lanes must not contend.
-  struct alignas(64) Lane {
-    std::vector<std::int64_t> counters;
-    std::vector<HistLane> hists;
+    std::vector<std::int64_t> buckets =
+        std::vector<std::int64_t>(HistogramLayout::kBucketCount, 0);
   };
 
   int register_metric(std::string_view name, Kind kind);
-  void size_lane(Lane& lane) const;
-
-  int lane_of_caller() const {
-    const int worker = par::ThreadPool::current_worker();
-    DASM_DCHECK(worker >= 0 &&
-                static_cast<std::size_t>(worker) < lanes_.size());
-    return worker;
-  }
 
   void inc_counter(int slot, std::int64_t delta) {
-    lanes_[static_cast<std::size_t>(lane_of_caller())]
-        .counters[static_cast<std::size_t>(slot)] += delta;
+    counters_[static_cast<std::size_t>(slot)] += delta;
   }
 
   void set_gauge(int slot, std::int64_t value) {
@@ -400,8 +364,7 @@ class MetricsRegistry {
   }
 
   void observe(int slot, std::int64_t value) {
-    HistLane& h = lanes_[static_cast<std::size_t>(lane_of_caller())]
-                      .hists[static_cast<std::size_t>(slot)];
+    Hist& h = hists_[static_cast<std::size_t>(slot)];
     ++h.count;
     h.sum = saturating_add(h.sum, value);
     if (value < h.min) h.min = value;
@@ -411,10 +374,9 @@ class MetricsRegistry {
   }
 
   std::vector<Metric> metrics_;  ///< registration order; names unique
-  std::vector<Lane> lanes_;
+  std::vector<std::int64_t> counters_;
   std::vector<std::int64_t> gauges_;
-  int counter_slots_ = 0;
-  int hist_slots_ = 0;
+  std::vector<Hist> hists_;
 };
 
 inline void CounterHandle::inc(std::int64_t delta) const {

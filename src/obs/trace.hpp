@@ -14,13 +14,10 @@
 //   - per-round RoundSamples (message/bit deltas by MsgType, fed from
 //     NetStats via the Network's end_round hook).
 //
-// Determinism contract (the same one the Network's send lanes obey,
-// DESIGN.md §6): events are staged in per-worker lanes and committed to
-// the sink in worker order at round boundaries. Because the thread pool's
-// static chunking assigns worker w the w-th contiguous index block, the
-// lane-order merge reproduces the serial emission order exactly — an
-// exported trace is bit-identical at every thread count. "Time" in a
-// trace is therefore the network round counter, never a wall clock.
+// Determinism contract (DESIGN.md §7): a run is serial, so events reach
+// the sink in emission order and an exported trace is bit-identical run
+// to run. "Time" in a trace is therefore the network round counter, never
+// a wall clock.
 //
 // Cost contract: with no sink attached every recording call is a null
 // check; compiling with DASM_OBS_DISABLED replaces the Recorder with
@@ -34,7 +31,6 @@
 #include <vector>
 
 #include "congest/network.hpp"
-#include "par/thread_pool.hpp"
 #include "util/check.hpp"
 
 namespace dasm::obs {
@@ -113,9 +109,8 @@ struct RoundSample {
   friend bool operator==(const RoundSample&, const RoundSample&) = default;
 };
 
-/// Consumer of committed events. Implementations must not assume any
-/// particular thread, but are only ever called from one thread at a time
-/// (commits happen on the thread driving the round loop).
+/// Consumer of recorded events. Only the thread driving the run's round
+/// loop calls it.
 class TraceSink {
  public:
   virtual ~TraceSink() = default;
@@ -132,7 +127,7 @@ class NullSink final : public TraceSink {
   void on_round_sample(const RoundSample&) override {}
 };
 
-/// In-memory sink: retains everything, in committed order. The exporters
+/// In-memory sink: retains everything, in emission order. The exporters
 /// (obs/export.hpp) and the determinism tests consume this.
 class MemorySink final : public TraceSink {
  public:
@@ -156,9 +151,8 @@ class MemorySink final : public TraceSink {
 /// installed (enabled() is constexpr false).
 class Recorder {
  public:
-  explicit Recorder(TraceSink* = nullptr, int = 1) {}
+  explicit Recorder(TraceSink* = nullptr) {}
   static constexpr bool enabled() { return false; }
-  void set_lanes(int) {}
   void begin_span(Phase, std::int64_t, const NetStats&) {}
   void end_span(Phase, std::int64_t, const NetStats&) {}
   void counter(Counter, std::int64_t, std::int64_t) {}
@@ -169,32 +163,22 @@ class Recorder {
 
 #else
 
-/// The recording front end the engines drive. Emission stages an Event in
-/// the lane of the calling pool worker (par::ThreadPool::current_worker());
-/// on_round() — invoked from the Network's end_round hook — commits the
-/// lanes to the sink in worker order and appends the round's NetStats
-/// delta as a RoundSample. finish() closes any spans left open by an
-/// early exit (round-budget stop, quiescence trim) and commits the tail.
+/// The recording front end the engines drive. Every event goes straight to
+/// the sink; on_round() — invoked from the Network's end_round hook —
+/// appends the round's NetStats delta as a RoundSample. finish() closes
+/// any spans left open by an early exit (round-budget stop, quiescence
+/// trim).
 ///
-/// With a null sink every call is a branch on `sink_ == nullptr` and
-/// nothing is staged.
+/// With a null sink every call is a branch on `sink_ == nullptr`.
 class Recorder {
  public:
-  explicit Recorder(TraceSink* sink = nullptr, int lanes = 1) : sink_(sink) {
-    set_lanes(lanes);
-  }
+  explicit Recorder(TraceSink* sink = nullptr) : sink_(sink) {}
 
   bool enabled() const { return sink_ != nullptr; }
 
-  /// Sizes the per-worker lanes; mirrors Network::set_send_lanes.
-  void set_lanes(int lanes) {
-    DASM_CHECK_MSG(lanes >= 1, "obs lane count must be >= 1");
-    lanes_.resize(static_cast<std::size_t>(lanes));
-  }
-
   void begin_span(Phase phase, std::int64_t index, const NetStats& stats) {
     if (!sink_) return;
-    stage(Event{Event::Kind::kBegin, phase, Counter{}, stats.executed_rounds,
+    emit(Event{Event::Kind::kBegin, phase, Counter{}, stats.executed_rounds,
                 index, stats.messages});
     open_.push_back({phase, index});
   }
@@ -209,20 +193,19 @@ class Recorder {
                                                << "#" << open_.back().index
                                                << " is open");
     open_.pop_back();
-    stage(Event{Event::Kind::kEnd, phase, Counter{}, stats.executed_rounds,
+    emit(Event{Event::Kind::kEnd, phase, Counter{}, stats.executed_rounds,
                 index, stats.messages});
   }
 
   void counter(Counter counter, std::int64_t round, std::int64_t value) {
     if (!sink_) return;
-    stage(Event{Event::Kind::kCounter, Phase{}, counter, round, 0, value});
+    emit(Event{Event::Kind::kCounter, Phase{}, counter, round, 0, value});
   }
 
-  /// Round-boundary hook (Network::set_round_hook): commits staged lanes
-  /// in worker order, then appends this round's traffic delta.
+  /// Round-boundary hook (Network::set_round_hook): appends this round's
+  /// traffic delta.
   void on_round(const NetStats& stats) {
     if (!sink_) return;
-    commit();
     const NetStats delta = stats.delta_since(last_);
     RoundSample sample;
     sample.round = stats.executed_rounds;
@@ -239,15 +222,13 @@ class Recorder {
   }
 
   /// Closes every still-open span (innermost first) at the final stats
-  /// snapshot and commits the tail of the event stream. Call once, after
-  /// the run loop has exited.
+  /// snapshot. Call once, after the run loop has exited.
   void finish(const NetStats& stats) {
     if (!sink_) return;
     while (!open_.empty()) {
       const OpenSpan span = open_.back();
       end_span(span.phase, span.index, stats);
     }
-    commit();
   }
 
   /// Events handed to the sink so far (0 forever when no sink is
@@ -259,32 +240,13 @@ class Recorder {
     Phase phase;
     std::int64_t index;
   };
-  // Cache-line aligned for the same reason as Network::SendLane: two
-  // workers staging into adjacent lanes must not contend.
-  struct alignas(64) Lane {
-    std::vector<Event> staged;
-  };
-
-  void stage(const Event& event) {
-    const int worker = par::ThreadPool::current_worker();
-    DASM_DCHECK(worker >= 0 &&
-                static_cast<std::size_t>(worker) < lanes_.size());
-    lanes_[static_cast<std::size_t>(worker)].staged.push_back(event);
-  }
-
-  void commit() {
-    for (Lane& lane : lanes_) {
-      for (const Event& event : lane.staged) {
-        sink_->on_event(event);
-        ++committed_;
-      }
-      lane.staged.clear();
-    }
+  void emit(const Event& event) {
+    sink_->on_event(event);
+    ++committed_;
   }
 
   TraceSink* sink_;
-  std::vector<Lane> lanes_;
-  std::vector<OpenSpan> open_;  // span stack (driver thread only)
+  std::vector<OpenSpan> open_;  // span stack
   NetStats last_;               // cumulative stats at the previous sample
   std::int64_t committed_ = 0;
 };

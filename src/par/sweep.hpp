@@ -1,6 +1,7 @@
-// Inter-instance parallelism (Layer 2 of the parallel engine; DESIGN.md
-// §6): a bench grid of independent (instance, seed, params) cells executed
-// across a fixed thread pool.
+// Inter-instance parallelism, the one parallel layer (DESIGN.md §6): a
+// bench grid of independent (instance, seed, params) cells — or a service
+// batch of distinct requests — executed across a fixed thread pool. Each
+// protocol run inside a cell is serial; cells share nothing they write.
 //
 // Cells can have wildly different costs (n ranges over an order of
 // magnitude within one table), so indices are handed out dynamically from
@@ -34,9 +35,10 @@ class SweepRunner {
 
   /// Evaluates f(i) for every cell index i in [0, cells) and returns the
   /// results in index order. R must be default-constructible; cells run
-  /// with whatever parallelism the runner was built with. Protocol runs
-  /// inside a cell should use threads = 1 (a nested engine degrades to
-  /// serial anyway; see ThreadPool::inside_job).
+  /// with whatever parallelism the runner was built with. A cell returns
+  /// everything it measures through its slot: it must not write a shared
+  /// Network, obs::Recorder or obs::MetricsRegistry (a sweep nested inside
+  /// a cell runs inline; see ThreadPool::inside_job).
   template <typename R, typename F>
   std::vector<R> map(std::int64_t cells, F&& f) {
     static_assert(!std::is_same_v<R, bool>,

@@ -4,7 +4,6 @@ namespace dasm::par {
 
 namespace {
 
-thread_local int t_worker_index = 0;
 thread_local bool t_inside_job = false;
 
 }  // namespace
@@ -14,20 +13,13 @@ int hardware_threads() {
   return hc == 0 ? 1 : static_cast<int>(hc);
 }
 
-int ThreadPool::current_worker() { return t_worker_index; }
-
 bool ThreadPool::inside_job() { return t_inside_job; }
 
-ThreadPool::ScopedWorker::ScopedWorker(int index)
-    : saved_index(t_worker_index), saved_inside(t_inside_job) {
-  t_worker_index = index;
+ThreadPool::ScopedJob::ScopedJob() : saved_inside(t_inside_job) {
   t_inside_job = true;
 }
 
-ThreadPool::ScopedWorker::~ScopedWorker() {
-  t_worker_index = saved_index;
-  t_inside_job = saved_inside;
-}
+ThreadPool::ScopedJob::~ScopedJob() { t_inside_job = saved_inside; }
 
 ThreadPool::ThreadPool(int threads) : thread_count_(threads) {
   DASM_CHECK_MSG(threads >= 1, "ThreadPool needs at least one thread");
@@ -48,7 +40,6 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::worker_main(int index) {
-  t_worker_index = index;
   t_inside_job = true;  // workers only ever run code inside jobs
   std::int64_t seen = 0;
   std::unique_lock<std::mutex> lk(mu_);
@@ -82,7 +73,7 @@ void ThreadPool::run_job_erased(void (*fn)(void*, int), void* ctx) {
   }
   start_cv_.notify_all();
   {
-    const ScopedWorker scope(0);
+    const ScopedJob scope;
     try {
       fn(ctx, 0);
     } catch (...) {

@@ -1,20 +1,14 @@
-// Deterministic fixed-size thread pool (Layer 1 of the parallel engine;
+// Fixed-size thread pool under par::SweepRunner (the one parallel layer;
 // see DESIGN.md §6).
 //
-// parallel_for() splits [begin, end) into exactly size() contiguous chunks
-// (static chunking, no work stealing): worker w always receives the w-th
-// chunk, and the calling thread executes chunk 0 itself. Because the
-// assignment of indices to workers is a pure function of (begin, end,
-// size()), any per-worker side effects that are later merged in worker
-// order — e.g. the Network's send lanes — reproduce the sequential
-// iteration order exactly, which is what makes intra-round parallelism
-// bit-identical to serial execution at every thread count.
-//
-// The pool is reusable (workers park on a condition variable between
-// jobs), propagates the first exception by worker index (deterministic),
-// and degrades gracefully under nesting: a parallel_for issued from inside
-// a pool job runs inline on the calling thread as worker 0, so protocols
-// launched from sweep workers stay correct (just serial).
+// run_workers() invokes a callable once on every worker, the calling
+// thread acting as worker 0; SweepRunner builds its dynamically scheduled
+// cell loop on top of it. The pool is reusable (workers park on a
+// condition variable between jobs), propagates the first exception by
+// worker index (deterministic), and degrades gracefully under nesting: a
+// job started from inside a pool job runs inline on the calling thread as
+// worker 0, so a sweep launched from a sweep cell stays correct (just
+// serial).
 #pragma once
 
 #include <condition_variable>
@@ -43,46 +37,20 @@ class ThreadPool {
 
   int size() const { return thread_count_; }
 
-  /// Index of the pool worker executing the current job on this thread
-  /// (0 for the calling thread and for threads outside any pool job).
-  /// Stable for the duration of a job — the Network uses it to pick the
-  /// send lane.
-  static int current_worker();
-
   /// True while this thread is executing a pool job (used to run nested
   /// parallelism inline instead of deadlocking on a busy pool).
   static bool inside_job();
 
-  /// Invokes f(i) for every i in [begin, end), statically chunked:
-  /// worker w runs the contiguous index range
-  ///   [begin + n*w/T, begin + n*(w+1)/T)   with n = end - begin, T = size().
-  /// Blocks until every chunk finishes; rethrows the first exception in
-  /// worker-index order.
-  template <typename F>
-  void parallel_for(std::int64_t begin, std::int64_t end, F&& f) {
-    const std::int64_t count = end - begin;
-    if (count <= 0) return;
-    if (thread_count_ == 1 || count == 1 || inside_job()) {
-      const ScopedWorker scope(0);
-      for (std::int64_t i = begin; i < end; ++i) f(i);
-      return;
-    }
-    const int chunks = thread_count_;
-    auto body = [&f, begin, count, chunks](int worker) {
-      const std::int64_t lo = begin + count * worker / chunks;
-      const std::int64_t hi = begin + count * (worker + 1) / chunks;
-      for (std::int64_t i = lo; i < hi; ++i) f(i);
-    };
-    run_job_erased(&invoke<decltype(body)>, &body);
-  }
-
   /// Invokes f(worker) once on every worker (including the caller as
   /// worker 0). The building block for dynamically scheduled sweeps,
   /// where each worker pulls cell indices from a shared atomic ticket.
+  /// Blocks until every worker returns; rethrows the first exception in
+  /// worker-index order. Nested inside a pool job, or on a one-thread
+  /// pool, it runs f(0) inline.
   template <typename F>
   void run_workers(F&& f) {
     if (thread_count_ == 1 || inside_job()) {
-      const ScopedWorker scope(0);
+      const ScopedJob scope;
       f(0);
       return;
     }
@@ -90,13 +58,12 @@ class ThreadPool {
   }
 
  private:
-  // Sets the thread-local worker index (and the inside-job flag) for the
-  // caller's own chunk, restoring both on scope exit so nested pools and
-  // back-to-back jobs observe consistent state.
-  struct ScopedWorker {
-    explicit ScopedWorker(int index);
-    ~ScopedWorker();
-    int saved_index;
+  // Sets the inside-job flag for the caller's own share of a job,
+  // restoring it on scope exit so nested pools and back-to-back jobs
+  // observe consistent state.
+  struct ScopedJob {
+    ScopedJob();
+    ~ScopedJob();
     bool saved_inside;
   };
 
@@ -106,8 +73,8 @@ class ThreadPool {
   }
 
   // Broadcasts (fn, ctx) to every worker and runs worker 0's share on the
-  // calling thread. Type-erased through a function pointer so steady-state
-  // rounds never touch the allocator.
+  // calling thread. Type-erased through a function pointer so a job never
+  // touches the allocator.
   void run_job_erased(void (*fn)(void*, int), void* ctx);
   void worker_main(int index);
 

@@ -1,8 +1,5 @@
 #include "stable/blocking.hpp"
 
-#include <atomic>
-
-#include "par/thread_pool.hpp"
 #include "util/check.hpp"
 
 namespace dasm {
@@ -170,249 +167,115 @@ bool selected(const std::vector<bool>* man_filter, NodeId m) {
   return man_filter == nullptr || (*man_filter)[static_cast<std::size_t>(m)];
 }
 
-// Parallel sharding is only sound (and only helps) on a real multi-worker
-// pool from outside any pool job; everything else falls back to the
-// serial scan.
-bool shard_over(const par::ThreadPool* pool, NodeId n_men) {
-  return pool != nullptr && pool->size() > 1 && n_men > 1 &&
-         !par::ThreadPool::inside_job();
-}
-
-// Static contiguous chunk of worker w — the same split parallel_for uses,
-// so merging per-worker results in worker-index order reproduces man
-// order.
-struct Chunk {
-  NodeId lo;
-  NodeId hi;
-};
-
-Chunk chunk_of(NodeId n, int worker, int workers) {
-  return Chunk{
-      static_cast<NodeId>(static_cast<std::int64_t>(n) * worker / workers),
-      static_cast<NodeId>(static_cast<std::int64_t>(n) * (worker + 1) /
-                          workers)};
-}
-
 template <typename ScanMan>
 std::vector<BlockingPair> collect_pairs(const ScanPlan& plan,
-                                        par::ThreadPool* pool,
                                         const ScanMan& scan_man) {
-  const NodeId nm = plan.inst->n_men();
-  if (!shard_over(pool, nm)) {
-    std::vector<BlockingPair> out;
-    for (NodeId m = 0; m < nm; ++m) {
-      scan_man(plan, m, [&out](const BlockingPair& bp) {
-        out.push_back(bp);
-        return true;
-      });
-    }
-    return out;
-  }
-  const int workers = pool->size();
-  std::vector<std::vector<BlockingPair>> slots(
-      static_cast<std::size_t>(workers));
-  pool->run_workers([&](int worker) {
-    auto& slot = slots[static_cast<std::size_t>(worker)];
-    const Chunk c = chunk_of(nm, worker, workers);
-    for (NodeId m = c.lo; m < c.hi; ++m) {
-      scan_man(plan, m, [&slot](const BlockingPair& bp) {
-        slot.push_back(bp);
-        return true;
-      });
-    }
-  });
-  std::size_t total = 0;
-  for (const auto& slot : slots) total += slot.size();
   std::vector<BlockingPair> out;
-  out.reserve(total);
-  for (const auto& slot : slots) out.insert(out.end(), slot.begin(), slot.end());
+  for (NodeId m = 0; m < plan.inst->n_men(); ++m) {
+    scan_man(plan, m, [&out](const BlockingPair& bp) {
+      out.push_back(bp);
+      return true;
+    });
+  }
   return out;
 }
 
 template <typename ScanMan>
 std::optional<BlockingPair> first_pair(const ScanPlan& plan,
-                                       par::ThreadPool* pool,
                                        const ScanMan& scan_man) {
-  const NodeId nm = plan.inst->n_men();
-  if (!shard_over(pool, nm)) {
-    std::optional<BlockingPair> found;
-    for (NodeId m = 0; m < nm; ++m) {
-      scan_man(plan, m, [&found](const BlockingPair& bp) {
-        found = bp;
-        return false;
-      });
-      if (found) break;
-    }
-    return found;
+  std::optional<BlockingPair> found;
+  for (NodeId m = 0; m < plan.inst->n_men() && !found; ++m) {
+    scan_man(plan, m, [&found](const BlockingPair& bp) {
+      found = bp;
+      return false;
+    });
   }
-  const int workers = pool->size();
-  std::vector<std::optional<BlockingPair>> slots(
-      static_cast<std::size_t>(workers));
-  pool->run_workers([&](int worker) {
-    auto& slot = slots[static_cast<std::size_t>(worker)];
-    const Chunk c = chunk_of(nm, worker, workers);
-    for (NodeId m = c.lo; m < c.hi; ++m) {
-      scan_man(plan, m, [&slot](const BlockingPair& bp) {
-        slot = bp;
-        return false;
-      });
-      if (slot) break;  // the chunk's first witness settles this slot
-    }
-  });
-  // Chunks ascend in man order, so the first occupied slot holds the
-  // global scan-order-first witness.
-  for (const auto& slot : slots) {
-    if (slot) return slot;
-  }
-  return std::nullopt;
+  return found;
 }
 
 template <typename ScanMan>
-std::int64_t count_pairs(const ScanPlan& plan, par::ThreadPool* pool,
+std::int64_t count_pairs(const ScanPlan& plan,
                          const std::vector<bool>* man_filter,
                          const ScanMan& scan_man) {
-  const NodeId nm = plan.inst->n_men();
-  if (!shard_over(pool, nm)) {
-    std::int64_t count = 0;
-    for (NodeId m = 0; m < nm; ++m) {
-      if (!selected(man_filter, m)) continue;
-      scan_man(plan, m, [&count](const BlockingPair&) {
-        ++count;
-        return true;
-      });
-    }
-    return count;
-  }
-  const int workers = pool->size();
-  struct alignas(64) Slot {
-    std::int64_t count = 0;
-  };
-  std::vector<Slot> slots(static_cast<std::size_t>(workers));
-  pool->run_workers([&](int worker) {
-    std::int64_t local = 0;
-    const Chunk c = chunk_of(nm, worker, workers);
-    for (NodeId m = c.lo; m < c.hi; ++m) {
-      if (!selected(man_filter, m)) continue;
-      scan_man(plan, m, [&local](const BlockingPair&) {
-        ++local;
-        return true;
-      });
-    }
-    slots[static_cast<std::size_t>(worker)].count = local;
-  });
   std::int64_t count = 0;
-  for (const Slot& s : slots) count += s.count;  // integer sum: order-free
+  for (NodeId m = 0; m < plan.inst->n_men(); ++m) {
+    if (!selected(man_filter, m)) continue;
+    scan_man(plan, m, [&count](const BlockingPair&) {
+      ++count;
+      return true;
+    });
+  }
   return count;
 }
 
 }  // namespace
 
 std::vector<BlockingPair> blocking_pairs(const Instance& inst,
-                                         const Matching& matching,
-                                         par::ThreadPool* pool) {
-  return collect_pairs(make_plan(inst, matching), pool, ClassicScan{});
+                                         const Matching& matching) {
+  return collect_pairs(make_plan(inst, matching), ClassicScan{});
 }
 
 std::optional<BlockingPair> first_blocking_pair(const Instance& inst,
-                                                const Matching& matching,
-                                                par::ThreadPool* pool) {
-  return first_pair(make_plan(inst, matching), pool, ClassicScan{});
+                                                const Matching& matching) {
+  return first_pair(make_plan(inst, matching), ClassicScan{});
 }
 
 std::int64_t count_blocking_pairs(const Instance& inst,
-                                  const Matching& matching,
-                                  par::ThreadPool* pool) {
-  return count_pairs(make_plan(inst, matching), pool, nullptr, ClassicScan{});
+                                  const Matching& matching) {
+  return count_pairs(make_plan(inst, matching), nullptr, ClassicScan{});
 }
 
-bool is_stable(const Instance& inst, const Matching& matching,
-               par::ThreadPool* pool) {
-  return !first_blocking_pair(inst, matching, pool).has_value();
+bool is_stable(const Instance& inst, const Matching& matching) {
+  return !first_blocking_pair(inst, matching).has_value();
 }
 
 bool is_almost_stable(const Instance& inst, const Matching& matching,
-                      double eps, par::ThreadPool* pool) {
+                      double eps) {
   // Same decision as comparing the full count against eps * |E|: the count
   // only grows during the scan, so the first excess witness settles it.
   const double budget = eps * static_cast<double>(inst.edge_count());
   const ScanPlan plan = make_plan(inst, matching);
-  const NodeId nm = inst.n_men();
-  if (!shard_over(pool, nm)) {
-    std::int64_t count = 0;
-    bool within = true;
-    for (NodeId m = 0; m < nm && within; ++m) {
-      classic_scan_man(plan, m, [&](const BlockingPair&) {
-        ++count;
-        within = static_cast<double>(count) <= budget;
-        return within;
-      });
-    }
-    return within;
+  std::int64_t count = 0;
+  bool within = true;
+  for (NodeId m = 0; m < inst.n_men() && within; ++m) {
+    classic_scan_man(plan, m, [&](const BlockingPair&) {
+      ++count;
+      within = static_cast<double>(count) <= budget;
+      return within;
+    });
   }
-  // Workers pour per-man subtotals into a shared count and stop once any
-  // prefix of it exceeds the budget; since the count only grows, "some
-  // worker saw an excess" is exactly "the total exceeds the budget", so
-  // the decision matches the serial early-exit bit for bit.
-  const int workers = pool->size();
-  std::atomic<std::int64_t> global{0};
-  std::atomic<bool> exceeded{false};
-  pool->run_workers([&](int worker) {
-    const Chunk c = chunk_of(nm, worker, workers);
-    for (NodeId m = c.lo; m < c.hi; ++m) {
-      if (exceeded.load(std::memory_order_relaxed)) return;
-      std::int64_t mine = 0;
-      classic_scan_man(plan, m, [&mine](const BlockingPair&) {
-        ++mine;
-        return true;
-      });
-      if (mine == 0) continue;
-      const std::int64_t seen =
-          global.fetch_add(mine, std::memory_order_relaxed) + mine;
-      if (static_cast<double>(seen) > budget) {
-        exceeded.store(true, std::memory_order_relaxed);
-        return;
-      }
-    }
-  });
-  if (exceeded.load(std::memory_order_relaxed)) return false;
-  return static_cast<double>(global.load(std::memory_order_relaxed)) <= budget;
+  return within;
 }
 
 std::vector<BlockingPair> eps_blocking_pairs(const Instance& inst,
                                              const Matching& matching,
-                                             double eps,
-                                             par::ThreadPool* pool) {
-  return collect_pairs(make_plan(inst, matching), pool, EpsScan{eps});
+                                             double eps) {
+  return collect_pairs(make_plan(inst, matching), EpsScan{eps});
 }
 
 std::optional<BlockingPair> first_eps_blocking_pair(const Instance& inst,
                                                     const Matching& matching,
-                                                    double eps,
-                                                    par::ThreadPool* pool) {
-  return first_pair(make_plan(inst, matching), pool, EpsScan{eps});
+                                                    double eps) {
+  return first_pair(make_plan(inst, matching), EpsScan{eps});
 }
 
 std::int64_t count_eps_blocking_pairs(const Instance& inst,
-                                      const Matching& matching, double eps,
-                                      par::ThreadPool* pool) {
-  return count_pairs(make_plan(inst, matching), pool, nullptr, EpsScan{eps});
+                                      const Matching& matching, double eps) {
+  return count_pairs(make_plan(inst, matching), nullptr, EpsScan{eps});
 }
 
 std::int64_t count_eps_blocking_pairs_among(
     const Instance& inst, const Matching& matching, double eps,
-    const std::vector<bool>& man_filter, par::ThreadPool* pool) {
+    const std::vector<bool>& man_filter) {
   DASM_CHECK(static_cast<NodeId>(man_filter.size()) == inst.n_men());
-  return count_pairs(make_plan(inst, matching), pool, &man_filter,
-                     EpsScan{eps});
+  return count_pairs(make_plan(inst, matching), &man_filter, EpsScan{eps});
 }
 
 std::int64_t count_blocking_pairs_among(const Instance& inst,
                                         const Matching& matching,
-                                        const std::vector<bool>& man_filter,
-                                        par::ThreadPool* pool) {
+                                        const std::vector<bool>& man_filter) {
   DASM_CHECK(static_cast<NodeId>(man_filter.size()) == inst.n_men());
-  return count_pairs(make_plan(inst, matching), pool, &man_filter,
-                     ClassicScan{});
+  return count_pairs(make_plan(inst, matching), &man_filter, ClassicScan{});
 }
 
 std::int64_t validate_matching(const Instance& inst,

@@ -16,13 +16,6 @@
 // is monotone decreasing in rank, so both scans visit only the prefix of
 // each list that can still produce a witness — without changing which
 // pairs are reported.
-//
-// Every entry point takes an optional par::ThreadPool. When given a pool
-// with more than one worker, the scan is sharded over men in the pool's
-// static contiguous chunks and the per-worker counters / first-witness
-// slots / witness vectors are merged in worker-index (= man) order, so
-// counts, witnesses, decisions, and thrown CheckErrors are identical to
-// the serial scan at every thread count (DESIGN.md §10).
 #pragma once
 
 #include <cstdint>
@@ -31,10 +24,6 @@
 
 #include "graph/matching.hpp"
 #include "stable/instance.hpp"
-
-namespace dasm::par {
-class ThreadPool;
-}  // namespace dasm::par
 
 namespace dasm {
 
@@ -52,28 +41,23 @@ struct BlockingPair {
 /// blocks when m and w strictly prefer each other to their partners;
 /// unmatched players prefer any acceptable partner (§2.1).
 std::vector<BlockingPair> blocking_pairs(const Instance& inst,
-                                         const Matching& matching,
-                                         par::ThreadPool* pool = nullptr);
+                                         const Matching& matching);
 
 /// The first blocking pair in (man, rank) scan order, or nullopt. This is
 /// the early-exit witness test behind is_stable().
 std::optional<BlockingPair> first_blocking_pair(const Instance& inst,
-                                                const Matching& matching,
-                                                par::ThreadPool* pool = nullptr);
+                                                const Matching& matching);
 
 std::int64_t count_blocking_pairs(const Instance& inst,
-                                  const Matching& matching,
-                                  par::ThreadPool* pool = nullptr);
+                                  const Matching& matching);
 
 /// True iff the matching induces no blocking pairs.
-bool is_stable(const Instance& inst, const Matching& matching,
-               par::ThreadPool* pool = nullptr);
+bool is_stable(const Instance& inst, const Matching& matching);
 
 /// Definition 1: blocking pairs <= eps * |E|. Stops scanning as soon as
-/// the count exceeds the budget (in the parallel form, through a shared
-/// atomic count every worker checks between men).
+/// the count exceeds the budget.
 bool is_almost_stable(const Instance& inst, const Matching& matching,
-                      double eps, par::ThreadPool* pool = nullptr);
+                      double eps);
 
 /// Definition 2: pairs (m, w) in E with
 ///   P^m(p(m)) - P^m(w) >= eps * deg(m)  and
@@ -81,30 +65,26 @@ bool is_almost_stable(const Instance& inst, const Matching& matching,
 /// using 1-based ranks and P^v(no partner) = deg(v) + 1.
 std::vector<BlockingPair> eps_blocking_pairs(const Instance& inst,
                                              const Matching& matching,
-                                             double eps,
-                                             par::ThreadPool* pool = nullptr);
+                                             double eps);
 
 /// The first eps-blocking pair in (man, rank) scan order, or nullopt.
 std::optional<BlockingPair> first_eps_blocking_pair(
-    const Instance& inst, const Matching& matching, double eps,
-    par::ThreadPool* pool = nullptr);
+    const Instance& inst, const Matching& matching, double eps);
 
 std::int64_t count_eps_blocking_pairs(const Instance& inst,
-                                      const Matching& matching, double eps,
-                                      par::ThreadPool* pool = nullptr);
+                                      const Matching& matching, double eps);
 
 /// eps-blocking pairs whose man is selected by `man_filter` (size n_men).
 /// Used to audit Lemma 3 (good men are in no (2/k)-blocking pairs) and
 /// Lemma 5 (bad men contribute few).
 std::int64_t count_eps_blocking_pairs_among(
     const Instance& inst, const Matching& matching, double eps,
-    const std::vector<bool>& man_filter, par::ThreadPool* pool = nullptr);
+    const std::vector<bool>& man_filter);
 
 /// Blocking pairs whose man is selected by `man_filter`.
 std::int64_t count_blocking_pairs_among(const Instance& inst,
                                         const Matching& matching,
-                                        const std::vector<bool>& man_filter,
-                                        par::ThreadPool* pool = nullptr);
+                                        const std::vector<bool>& man_filter);
 
 /// Validates that `matching` only pairs mutually acceptable players and is
 /// consistent; throws CheckError otherwise. Returns the number of matched

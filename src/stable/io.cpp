@@ -1,12 +1,11 @@
 #include "stable/io.hpp"
 
-#include <charconv>
-#include <cstdint>
 #include <fstream>
-#include <limits>
+#include <optional>
 #include <sstream>
 
 #include "util/check.hpp"
+#include "util/parse.hpp"
 
 namespace dasm {
 
@@ -19,30 +18,19 @@ std::string next_token(std::istream& is, const char* what) {
   return tok;
 }
 
-// Strict decimal parse of a whole token into NodeId. Unlike std::stol this
-// rejects trailing garbage ("12x34" is not 12), never throws on its own,
-// and catches values that fit a long but not a NodeId ("4294967296" used
-// to truncate to 0 silently).
-bool parse_id(const std::string& tok, NodeId* out) {
-  std::int64_t value = 0;
-  const char* first = tok.data();
-  const char* last = tok.data() + tok.size();
-  const auto [ptr, ec] = std::from_chars(first, last, value);
-  if (ec != std::errc() || ptr != last) return false;
-  if (value < static_cast<std::int64_t>(kNoNode) ||
-      value > static_cast<std::int64_t>(std::numeric_limits<NodeId>::max())) {
-    return false;
-  }
-  *out = static_cast<NodeId>(value);
-  return true;
+// Strict decimal parse of a whole token into a NodeId (util/parse.hpp):
+// rejects trailing garbage ("12x34" is not 12) and values that fit a long
+// but not a NodeId ("4294967296" is not 0).
+std::optional<NodeId> parse_id(const std::string& tok) {
+  return parse_integer<NodeId>(tok, kNoNode);
 }
 
 NodeId next_id(std::istream& is, const char* what) {
   const std::string tok = next_token(is, what);
-  NodeId id = kNoNode;
-  DASM_CHECK_MSG(parse_id(tok, &id),
+  const std::optional<NodeId> id = parse_id(tok);
+  DASM_CHECK_MSG(id.has_value(),
                  "expected " << what << ", got '" << tok << "'");
-  return id;
+  return *id;
 }
 
 void expect_token(std::istream& is, const std::string& expected) {
@@ -61,9 +49,9 @@ Ranking read_ranking_line(std::istream& is) {
   Ranking ranked;
   std::string tok;
   while (ls >> tok) {
-    NodeId id = kNoNode;
-    DASM_CHECK_MSG(parse_id(tok, &id), "bad partner id '" << tok << "'");
-    ranked.push_back(id);
+    const std::optional<NodeId> id = parse_id(tok);
+    DASM_CHECK_MSG(id.has_value(), "bad partner id '" << tok << "'");
+    ranked.push_back(*id);
   }
   return ranked;
 }

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdlib>
 
-#include "par/thread_pool.hpp"
 #include "util/check.hpp"
 
 namespace dasm {
@@ -11,51 +10,13 @@ namespace dasm {
 namespace {
 
 // One side's contribution: rank sum, regret maximum, matched/unmatched
-// tallies. Merging partials is integer addition and max, both independent
-// of merge order.
-struct SidePartial {
+// tallies.
+struct SideTotals {
   std::int64_t matched = 0;
   std::int64_t unmatched = 0;
   std::int64_t rank_sum = 0;
   std::int64_t regret = 0;
 };
-
-SidePartial& operator+=(SidePartial& a, const SidePartial& b) {
-  a.matched += b.matched;
-  a.unmatched += b.unmatched;
-  a.rank_sum += b.rank_sum;
-  a.regret = std::max(a.regret, b.regret);
-  return a;
-}
-
-template <typename Accumulate>
-SidePartial accumulate_side(NodeId n, par::ThreadPool* pool,
-                            const Accumulate& accumulate) {
-  const bool shard = pool != nullptr && pool->size() > 1 && n > 1 &&
-                     !par::ThreadPool::inside_job();
-  if (!shard) {
-    SidePartial p;
-    for (NodeId i = 0; i < n; ++i) accumulate(p, i);
-    return p;
-  }
-  const int workers = pool->size();
-  struct alignas(64) Slot {
-    SidePartial partial;
-  };
-  std::vector<Slot> slots(static_cast<std::size_t>(workers));
-  pool->run_workers([&](int worker) {
-    SidePartial local;
-    const auto lo =
-        static_cast<NodeId>(static_cast<std::int64_t>(n) * worker / workers);
-    const auto hi = static_cast<NodeId>(static_cast<std::int64_t>(n) *
-                                        (worker + 1) / workers);
-    for (NodeId i = lo; i < hi; ++i) accumulate(local, i);
-    slots[static_cast<std::size_t>(worker)].partial = local;
-  });
-  SidePartial p;
-  for (const Slot& s : slots) p += s.partial;
-  return p;
-}
 
 }  // namespace
 
@@ -71,42 +32,42 @@ double MatchingMetrics::mean_woman_rank() const {
          static_cast<double>(matched_pairs);
 }
 
-MatchingMetrics compute_metrics(const Instance& inst, const Matching& matching,
-                                par::ThreadPool* pool) {
+MatchingMetrics compute_metrics(const Instance& inst,
+                                const Matching& matching) {
   DASM_CHECK(matching.node_count() == inst.graph().node_count());
   const auto& bg = inst.graph();
 
-  const SidePartial men = accumulate_side(
-      inst.n_men(), pool, [&](SidePartial& p, NodeId man) {
-        const NodeId partner_node = matching.partner_of(bg.man_id(man));
-        if (partner_node == kNoNode) {
-          ++p.unmatched;
-          return;
-        }
-        const NodeId woman = bg.woman_index(partner_node);
-        const NodeId r = inst.man_pref(man).rank_of(woman);
-        DASM_CHECK_MSG(r != kNoNode,
-                       "man " << man << " matched to unranked woman " << woman);
-        ++p.matched;
-        p.rank_sum += r + 1;
-        p.regret = std::max<std::int64_t>(p.regret, r + 1);
-      });
+  SideTotals men;
+  for (NodeId man = 0; man < inst.n_men(); ++man) {
+    const NodeId partner_node = matching.partner_of(bg.man_id(man));
+    if (partner_node == kNoNode) {
+      ++men.unmatched;
+      continue;
+    }
+    const NodeId woman = bg.woman_index(partner_node);
+    const NodeId r = inst.man_pref(man).rank_of(woman);
+    DASM_CHECK_MSG(r != kNoNode,
+                   "man " << man << " matched to unranked woman " << woman);
+    ++men.matched;
+    men.rank_sum += r + 1;
+    men.regret = std::max<std::int64_t>(men.regret, r + 1);
+  }
 
-  const SidePartial women = accumulate_side(
-      inst.n_women(), pool, [&](SidePartial& p, NodeId woman) {
-        const NodeId partner_node = matching.partner_of(bg.woman_id(woman));
-        if (partner_node == kNoNode) {
-          ++p.unmatched;
-          return;
-        }
-        const NodeId man = bg.man_index(partner_node);
-        const NodeId r = inst.woman_pref(woman).rank_of(man);
-        DASM_CHECK_MSG(r != kNoNode,
-                       "woman " << woman << " matched to unranked man " << man);
-        ++p.matched;
-        p.rank_sum += r + 1;
-        p.regret = std::max<std::int64_t>(p.regret, r + 1);
-      });
+  SideTotals women;
+  for (NodeId woman = 0; woman < inst.n_women(); ++woman) {
+    const NodeId partner_node = matching.partner_of(bg.woman_id(woman));
+    if (partner_node == kNoNode) {
+      ++women.unmatched;
+      continue;
+    }
+    const NodeId man = bg.man_index(partner_node);
+    const NodeId r = inst.woman_pref(woman).rank_of(man);
+    DASM_CHECK_MSG(r != kNoNode,
+                   "woman " << woman << " matched to unranked man " << man);
+    ++women.matched;
+    women.rank_sum += r + 1;
+    women.regret = std::max<std::int64_t>(women.regret, r + 1);
+  }
 
   MatchingMetrics m;
   m.matched_pairs = men.matched;

@@ -11,10 +11,6 @@
 #include "graph/matching.hpp"
 #include "stable/instance.hpp"
 
-namespace dasm::par {
-class ThreadPool;
-}  // namespace dasm::par
-
 namespace dasm {
 
 struct MatchingMetrics {
@@ -42,11 +38,7 @@ struct MatchingMetrics {
 };
 
 /// Computes all metrics in one pass. The matching must be valid for the
-/// instance (pairs are mutually acceptable). With a multi-worker pool the
-/// per-side loops are sharded into the pool's static chunks and the
-/// per-worker partial sums / maxima merged in worker order — sums and
-/// maxima of integers, so the result is identical at every thread count.
-MatchingMetrics compute_metrics(const Instance& inst, const Matching& matching,
-                                par::ThreadPool* pool = nullptr);
+/// instance (pairs are mutually acceptable).
+MatchingMetrics compute_metrics(const Instance& inst, const Matching& matching);
 
 }  // namespace dasm

@@ -2,12 +2,15 @@
 
 #include <algorithm>
 #include <fstream>
+#include <limits>
+#include <optional>
 #include <ostream>
 #include <sstream>
 
 #include "gen/generators.hpp"
 #include "stable/instance.hpp"
 #include "util/check.hpp"
+#include "util/parse.hpp"
 
 namespace dasm::svc {
 
@@ -20,17 +23,17 @@ std::string next_token(std::istream& is, const char* what) {
   return tok;
 }
 
-std::int64_t parse_int(const std::string& tok, const char* what) {
-  std::size_t used = 0;
-  std::int64_t v = 0;
-  try {
-    v = std::stoll(tok, &used);
-  } catch (const std::exception&) {
-    used = 0;
-  }
-  DASM_CHECK_MSG(used == tok.size() && !tok.empty(),
-                 "expected " << what << ", got '" << tok << "'");
-  return v;
+// The whole token as an Int (util/parse.hpp): a value outside the
+// field's type is an error, never a narrowed one.
+template <typename Int>
+Int parse_int(const std::string& tok, const char* what) {
+  const std::optional<Int> v = parse_integer<Int>(tok);
+  DASM_CHECK_MSG(v.has_value(), "expected " << what << " (an integer in ["
+                                            << std::numeric_limits<Int>::min()
+                                            << ", "
+                                            << std::numeric_limits<Int>::max()
+                                            << "]), got '" << tok << "'");
+  return *v;
 }
 
 double parse_double(const std::string& tok, const char* what) {
@@ -82,28 +85,25 @@ Request parse_request(std::istream& is) {
       DASM_CHECK_MSG(req.epsilon > 0.0 && req.epsilon <= 1.0,
                      "eps must be in (0, 1], got " << req.epsilon);
     } else if (key == "seed") {
-      req.seed = static_cast<std::uint64_t>(parse_int(value, "seed"));
+      req.seed = parse_int<std::uint64_t>(value, "seed");
     } else if (key == "backend") {
       req.backend = parse_backend(value);
     } else if (key == "max-rounds") {
-      req.max_rounds = parse_int(value, "max-rounds");
+      req.max_rounds = parse_int<std::int64_t>(value, "max-rounds");
       DASM_CHECK_MSG(req.max_rounds >= 0, "max-rounds must be >= 0");
     } else if (key == "iters") {
-      req.mm_iterations = static_cast<int>(parse_int(value, "iters"));
+      req.mm_iterations = parse_int<int>(value, "iters");
       DASM_CHECK_MSG(req.mm_iterations >= 0, "iters must be >= 0");
     } else if (key == "drop") {
       req.fault_plan.drop = parse_double(value, "drop");
     } else if (key == "fault-seed") {
-      req.fault_plan.seed =
-          static_cast<std::uint64_t>(parse_int(value, "fault-seed"));
+      req.fault_plan.seed = parse_int<std::uint64_t>(value, "fault-seed");
     } else if (key == "retransmit-after") {
-      req.retransmit_after =
-          static_cast<int>(parse_int(value, "retransmit-after"));
+      req.retransmit_after = parse_int<int>(value, "retransmit-after");
       DASM_CHECK_MSG(req.retransmit_after >= 0,
                      "retransmit-after must be >= 0");
     } else if (key == "max-retransmits") {
-      req.max_retransmits =
-          static_cast<int>(parse_int(value, "max-retransmits"));
+      req.max_retransmits = parse_int<int>(value, "max-retransmits");
       DASM_CHECK_MSG(req.max_retransmits >= 1, "max-retransmits must be >= 1");
     } else {
       DASM_CHECK_MSG(false, "unknown request key '" << key << "'");
@@ -122,11 +122,11 @@ RequestFile::InstanceDecl parse_instance_decl(std::istream& is) {
     decl.path = next_token(is, "instance path");
   } else if (source == "gen") {
     decl.family = next_token(is, "family");
-    decl.n = static_cast<NodeId>(
-        parse_int(next_token(is, "instance size"), "instance size"));
+    decl.n = parse_int<NodeId>(next_token(is, "instance size"),
+                               "instance size");
     DASM_CHECK_MSG(decl.n > 0, "instance size must be positive");
-    decl.seed = static_cast<std::uint64_t>(
-        parse_int(next_token(is, "instance seed"), "instance seed"));
+    decl.seed = parse_int<std::uint64_t>(next_token(is, "instance seed"),
+                                         "instance seed");
   } else {
     DASM_CHECK_MSG(false, "instance source must be 'file' or 'gen', got '"
                               << source << "'");

@@ -38,9 +38,6 @@ Response execute_request(const StoredInstance& inst, const Request& request) {
       params.threads = 1;
       const core::AsmResult r = core::run_asm(inst.instance, params);
       resp.matched = r.matching.size();
-      // Verification stays serial here: requests already run one per sweep
-      // worker, and the certifier degrades to its serial scan inside a
-      // pool job anyway.
       resp.blocking = count_blocking_pairs(inst.instance, r.matching);
       fill_net(r.net);
       break;
@@ -88,13 +85,10 @@ MatchService::MatchService(SvcConfig config)
       store_(config.store_shards),
       cache_(config.cache_shards),
       sweep_(config.threads),
-      rec_(config.obs_sink, 1) {
+      rec_(config.obs_sink) {
   DASM_CHECK_MSG(config_.queue_capacity >= 1,
                  "queue capacity must be >= 1");
   if (config_.metrics != nullptr && obs::MetricsRegistry::enabled()) {
-    // Registered here on the driver thread; time.svc.execute_us is the
-    // one metric recorded from sweep workers, into per-worker lanes.
-    config_.metrics->ensure_lanes(sweep_.threads());
     m_requests_ = config_.metrics->counter("svc.requests");
     m_shed_ = config_.metrics->counter("svc.shed");
     m_hits_ = config_.metrics->counter("svc.cache_hits");
@@ -175,14 +169,30 @@ std::int64_t MatchService::run_batch() {
   }
 
   // Execute the distinct cells across the sweep pool. Slot i only ever
-  // holds cell i's result, so the commit below is order-independent.
+  // holds cell i's result and its own execution time, so the commit below
+  // is order-independent, and the registry is written only here, on the
+  // thread that called run_batch(), after the sweep.
   m_batch_cells_.observe(static_cast<std::int64_t>(cells.size()));
-  const std::vector<Response> results = sweep_.map<Response>(
+  struct CellResult {
+    Response resp;
+    std::int64_t execute_us = 0;
+  };
+  const bool time_cells = m_execute_us_.active();
+  const std::vector<CellResult> results = sweep_.map<CellResult>(
       static_cast<std::int64_t>(cells.size()), [&](std::int64_t i) {
-        const obs::ScopedTimer execute_timer(m_execute_us_);
         const Pending& p = *cells[static_cast<std::size_t>(i)];
-        return execute_request(*p.inst, p.request);
+        const auto t0 = time_cells ? std::chrono::steady_clock::now()
+                                   : std::chrono::steady_clock::time_point{};
+        CellResult out{execute_request(*p.inst, p.request)};
+        if (time_cells) {
+          out.execute_us =
+              std::chrono::duration_cast<std::chrono::microseconds>(
+                  std::chrono::steady_clock::now() - t0)
+                  .count();
+        }
+        return out;
       });
+  for (const CellResult& r : results) m_execute_us_.observe(r.execute_us);
 
   // Commit in arrival order: stamp ids, account hits/misses, record the
   // obs spans, and publish to the cache for later batches.
@@ -196,7 +206,7 @@ std::int64_t MatchService::run_batch() {
     const Plan& plan = plans[i];
     Response resp =
         plan.cached ? plan.cached_payload
-                    : results[static_cast<std::size_t>(plan.cell)];
+                    : results[static_cast<std::size_t>(plan.cell)].resp;
     resp.id = batch[i].id;
     if (timing) {
       m_queue_wait_us_.observe(

@@ -4,15 +4,14 @@
 // and a deterministic batch scheduler that packs pending requests onto the
 // PR-2 SweepRunner and commits responses in request-arrival order.
 //
-// Determinism contract (the same one the network send lanes and obs lanes
-// obey, DESIGN.md §6/§7): the response log and the exported obs trace are
-// a pure function of (submitted requests, their order, their seeds) — the
-// worker-thread count, batch partitioning, and cache state never leak into
-// the committed bytes. Three properties make this hold:
+// Determinism contract (DESIGN.md §6/§9): the response log and the
+// exported obs trace are a pure function of (submitted requests, their
+// order, their seeds) — the worker-thread count, batch partitioning, and
+// cache state never leak into the committed bytes. Three properties make
+// this hold:
 //
-//   1. each protocol run is itself deterministic in its parameters (cells
-//      run with engine threads = 1; a nested engine degrades to serial
-//      anyway, see ThreadPool::inside_job);
+//   1. each protocol run is serial, hence deterministic in its
+//      parameters;
 //   2. SweepRunner::map writes cell results into index-ordered slots, and
 //      the commit loop walks requests in arrival order regardless of
 //      which worker finished which cell first;
@@ -44,8 +43,8 @@
 namespace dasm::svc {
 
 struct SvcConfig {
-  /// Worker threads of the batch scheduler (Layer 2 of the parallel
-  /// engine): cells = distinct cache keys of the batch. 1 = serial,
+  /// Worker threads of the batch scheduler (the one parallel layer,
+  /// DESIGN.md §6): cells = distinct cache keys of the batch. 1 = serial,
   /// 0 = hardware concurrency. Every value commits identical bytes.
   int threads = 1;
   /// Admission control: pending requests beyond this are shed. Must be
@@ -67,11 +66,12 @@ struct SvcConfig {
   /// cache_misses counters, the svc.queue_depth gauge, logical batch
   /// shape histograms (svc.batch_requests, svc.batch_cells), and
   /// wall-clock latency histograms (time.svc.queue_wait_us per request,
-  /// time.svc.execute_us per executed cell). The registry is NOT handed
-  /// to the per-cell engines: cells execute concurrently on sweep
-  /// workers, and engine-level metric registration is a driver-thread
-  /// operation — a service-owned registry observes the service layer
-  /// only. Non-owning; must outlive the service.
+  /// time.svc.execute_us per executed cell: each cell times itself into
+  /// its result slot, and run_batch() observes the slots after the sweep).
+  /// The registry is NOT handed to the per-cell engines: cells execute
+  /// concurrently on sweep workers, and a registry has one writer — a
+  /// service-owned registry observes the service layer only.
+  /// Non-owning; must outlive the service.
   obs::MetricsRegistry* metrics = nullptr;
 };
 

@@ -1,9 +1,8 @@
-// Certifier equivalence suite (ISSUE 8): the flat-arena rank lookups and
-// the prefix-pruned, optionally parallel blocking-pair scans must agree —
-// value for value, witness for witness, byte for byte — with the
-// map-based reference implementation in stable/ref_certify.hpp (the
-// pre-arena representation kept as an executable specification) and with
-// themselves at every thread count.
+// Certifier equivalence suite: the flat-arena rank lookups and the
+// prefix-pruned blocking-pair scans must agree — value for value, witness
+// for witness — with the map-based reference implementation in
+// stable/ref_certify.hpp (the pre-arena representation kept as an
+// executable specification).
 #include "stable/blocking.hpp"
 
 #include <gtest/gtest.h>
@@ -13,11 +12,7 @@
 #include <string>
 #include <vector>
 
-#include "core/engine.hpp"
 #include "gen/generators.hpp"
-#include "obs/export.hpp"
-#include "obs/trace.hpp"
-#include "par/thread_pool.hpp"
 #include "stable/gale_shapley.hpp"
 #include "stable/instance.hpp"
 #include "stable/metrics.hpp"
@@ -26,12 +21,6 @@
 
 namespace dasm {
 namespace {
-
-// Thread counts the determinism sweeps use; hardware concurrency comes
-// last (may duplicate an earlier entry, which is harmless).
-std::vector<int> thread_ladder() {
-  return {1, 2, 4, par::hardware_threads()};
-}
 
 // The instance families the suite sweeps: complete lists take the dense
 // inverse rows, sparse Erdős–Rényi lists the sorted-pairs fallback, and
@@ -179,68 +168,16 @@ TEST(CertifierVsReference, AlmostStableBoundaryAgrees) {
   const auto count = static_cast<double>(count_blocking_pairs(inst, m));
   ASSERT_GT(count, 0.0);
   const auto edges = static_cast<double>(inst.edge_count());
-  par::ThreadPool pool(4);
   for (const double budget : {count - 1.0, count - 0.5, count, count + 0.5}) {
     const double eps = budget / edges;
-    const bool serial = is_almost_stable(inst, m, eps);
-    EXPECT_EQ(serial, ref::is_almost_stable(ri, m, eps)) << budget;
-    EXPECT_EQ(serial, is_almost_stable(inst, m, eps, &pool)) << budget;
-  }
-}
-
-// ---- Parallel certifier vs serial at every thread count ----------------
-
-TEST(ParallelCertifier, BitIdenticalToSerialAcrossThreadCounts) {
-  for (const std::uint64_t seed : {1, 2, 3}) {
-    for (const Instance& inst : certify_instances(seed)) {
-      // Alternating man filter for the *_among forms.
-      std::vector<bool> filter(static_cast<std::size_t>(inst.n_men()));
-      for (std::size_t i = 0; i < filter.size(); ++i) filter[i] = (i % 2) == 0;
-      for (const Matching& m : certify_matchings(inst, seed)) {
-        const auto pairs0 = blocking_pairs(inst, m);
-        const auto first0 = first_blocking_pair(inst, m);
-        const auto count0 = count_blocking_pairs(inst, m);
-        const auto among0 = count_blocking_pairs_among(inst, m, filter);
-        const MatchingMetrics metrics0 = compute_metrics(inst, m);
-        for (const int threads : thread_ladder()) {
-          par::ThreadPool pool(threads);
-          EXPECT_EQ(blocking_pairs(inst, m, &pool), pairs0) << threads;
-          EXPECT_EQ(first_blocking_pair(inst, m, &pool), first0) << threads;
-          EXPECT_EQ(count_blocking_pairs(inst, m, &pool), count0) << threads;
-          EXPECT_EQ(is_stable(inst, m, &pool), count0 == 0) << threads;
-          EXPECT_EQ(count_blocking_pairs_among(inst, m, filter, &pool),
-                    among0)
-              << threads;
-          for (const double eps : {0.05, 0.3}) {
-            EXPECT_EQ(eps_blocking_pairs(inst, m, eps, &pool),
-                      eps_blocking_pairs(inst, m, eps))
-                << threads << " eps=" << eps;
-            EXPECT_EQ(first_eps_blocking_pair(inst, m, eps, &pool),
-                      first_eps_blocking_pair(inst, m, eps))
-                << threads << " eps=" << eps;
-            EXPECT_EQ(count_eps_blocking_pairs(inst, m, eps, &pool),
-                      count_eps_blocking_pairs(inst, m, eps))
-                << threads << " eps=" << eps;
-            EXPECT_EQ(count_eps_blocking_pairs_among(inst, m, eps, filter,
-                                                     &pool),
-                      count_eps_blocking_pairs_among(inst, m, eps, filter))
-                << threads << " eps=" << eps;
-            EXPECT_EQ(is_almost_stable(inst, m, eps, &pool),
-                      is_almost_stable(inst, m, eps))
-                << threads << " eps=" << eps;
-          }
-          expect_metrics_eq(compute_metrics(inst, m, &pool), metrics0,
-                            "metrics at threads=" + std::to_string(threads));
-        }
-      }
-    }
+    EXPECT_EQ(is_almost_stable(inst, m, eps), ref::is_almost_stable(ri, m, eps))
+        << budget;
   }
 }
 
 // A malformed matching (a man matched to a woman not on his list) must
-// throw the same CheckError through the sharded scan as through the
-// serial one.
-TEST(ParallelCertifier, UnrankedPartnerThrowsAtEveryThreadCount) {
+// throw a CheckError rather than produce a count.
+TEST(CertifierVsReference, UnrankedPartnerThrows) {
   std::vector<Ranking> men = {{0, 1}, {0}};
   std::vector<Ranking> women = {{0, 1}, {0}};
   const Instance inst(std::move(men), std::move(women));
@@ -249,37 +186,6 @@ TEST(ParallelCertifier, UnrankedPartnerThrowsAtEveryThreadCount) {
   m.add(inst.graph().man_id(1), inst.graph().woman_id(1));
   EXPECT_THROW(count_blocking_pairs(inst, m), CheckError);
   EXPECT_THROW(count_eps_blocking_pairs(inst, m, 0.1), CheckError);
-  for (const int threads : thread_ladder()) {
-    par::ThreadPool pool(threads);
-    EXPECT_THROW(count_blocking_pairs(inst, m, &pool), CheckError) << threads;
-    EXPECT_THROW(count_eps_blocking_pairs(inst, m, 0.1, &pool), CheckError)
-        << threads;
-  }
-}
-
-// ---- Obs counters fed by the parallel certifier ------------------------
-
-// AsmEngine hands its own pool to the certifier when sampling
-// kBlockingPairs / kEpsBlockingPairs; the exported trace must stay
-// byte-identical to the single-threaded run.
-TEST(ParallelCertifier, ObsBlockingSamplesByteIdenticalAcrossThreads) {
-  const auto trace_bytes = [](int threads) {
-    const Instance inst = gen::complete_uniform(24, 5);
-    obs::MemorySink sink;
-    core::AsmParams params;
-    params.epsilon = 0.25;
-    params.seed = 5;
-    params.threads = threads;
-    params.obs_sink = &sink;
-    params.obs_blocking_pairs = true;
-    core::run_asm(inst, params);
-    return obs::to_jsonl(sink);
-  };
-  const std::string serial = trace_bytes(1);
-  EXPECT_GT(serial.size(), 0u);
-  for (const int threads : thread_ladder()) {
-    EXPECT_EQ(trace_bytes(threads), serial) << "threads=" << threads;
-  }
 }
 
 }  // namespace

@@ -1,9 +1,9 @@
-// Wall-clock metrics registry (src/obs/metrics.hpp, ISSUE 9): bucket-
-// layout algebra, merge associativity, quantiles, the thread-ladder
-// determinism contract (logical snapshots byte-identical at every worker
-// count), Prometheus/JSONL golden bytes, the forward-compat loader
-// contract shared with the trace reader, and the diff gate's regression
-// semantics.
+// Wall-clock metrics registry (src/obs/metrics.hpp): bucket-layout
+// algebra, merge associativity, quantiles, the determinism contract
+// (logical snapshots byte-identical run to run, and for the service at
+// every batch-scheduler thread count), Prometheus/JSONL golden bytes, the
+// forward-compat loader contract shared with the trace reader, and the
+// diff gate's regression semantics.
 #include "obs/metrics.hpp"
 
 #include <gtest/gtest.h>
@@ -19,7 +19,6 @@
 #include "gen/generators.hpp"
 #include "obs/export.hpp"
 #include "obs/trace.hpp"
-#include "par/sweep.hpp"
 #include "par/thread_pool.hpp"
 #include "svc/service.hpp"
 #include "util/check.hpp"
@@ -35,7 +34,7 @@ using obs::MetricsSnapshot;
 
 constexpr std::int64_t kInt64Max = std::numeric_limits<std::int64_t>::max();
 
-// Thread counts the determinism tests sweep (the test_obs ladder);
+// Batch-scheduler thread counts the service determinism test sweeps;
 // hardware concurrency may duplicate an earlier rung, which is harmless.
 std::vector<int> thread_ladder() {
   return {1, 2, 4, par::hardware_threads()};
@@ -217,48 +216,16 @@ TEST(MetricsRegistry, WallClockMetricsSegregatedByPrefix) {
   EXPECT_TRUE(logical.histograms.empty());
 }
 
-TEST(MetricsRegistry, WorkerLaneRecordsMergeDeterministically) {
-  if (!MetricsRegistry::enabled()) GTEST_SKIP() << "DASM_OBS_DISABLED";
-  // Cells incrementing and observing from sweep workers must aggregate to
-  // the same snapshot at every thread count: lane merges are additive.
-  constexpr std::int64_t kCells = 64;
-  std::string expected;
-  for (const int threads : thread_ladder()) {
-    MetricsRegistry reg;
-    const obs::CounterHandle cells = reg.counter("cells");
-    const obs::HistogramHandle sizes = reg.histogram("sizes");
-    reg.ensure_lanes(threads);
-    par::SweepRunner sweep(threads);
-    sweep.map<int>(kCells, [&](std::int64_t i) {
-      cells.inc();
-      sizes.observe(i % 20);
-      return 0;
-    });
-    const std::string bytes = obs::metrics_to_jsonl(reg.snapshot());
-    if (expected.empty()) {
-      expected = bytes;
-      const MetricsSnapshot snap = reg.snapshot();
-      ASSERT_EQ(snap.counters.size(), 1u);
-      EXPECT_EQ(snap.counters[0].value, kCells);
-      ASSERT_EQ(snap.histograms.size(), 1u);
-      EXPECT_EQ(snap.histograms[0].count, kCells);
-    } else {
-      EXPECT_EQ(bytes, expected) << "at threads=" << threads;
-    }
-  }
-}
+// ---- Determinism of the instrumented stacks ------------------------------
 
-// ---- Thread-ladder determinism of the instrumented stacks ---------------
-
-TEST(MetricsDeterminism, EngineLogicalSnapshotsByteIdenticalAcrossThreads) {
+TEST(MetricsDeterminism, EngineLogicalSnapshotsRepeatAndExcludeWallClock) {
   if (!MetricsRegistry::enabled()) GTEST_SKIP() << "DASM_OBS_DISABLED";
   const Instance inst = gen::complete_uniform(32, 5);
   std::string expected;
-  for (const int threads : thread_ladder()) {
+  for (int rep = 0; rep < 2; ++rep) {
     MetricsRegistry reg;
     core::AsmParams params;
     params.epsilon = 0.25;
-    params.threads = threads;
     params.metrics = &reg;
     core::run_asm(inst, params);
     // Logical snapshot only: "time.*" is wall clock and excluded from the
@@ -270,7 +237,7 @@ TEST(MetricsDeterminism, EngineLogicalSnapshotsByteIdenticalAcrossThreads) {
       EXPECT_NE(bytes.find("net.round_messages"), std::string::npos);
       EXPECT_EQ(bytes.find("time."), std::string::npos);
     } else {
-      EXPECT_EQ(bytes, expected) << "at threads=" << threads;
+      EXPECT_EQ(bytes, expected);
     }
     // The full snapshot does carry the wall-clock histograms.
     const std::string all = obs::metrics_to_jsonl(reg.snapshot());
@@ -312,6 +279,19 @@ TEST(MetricsDeterminism, ServiceLogicalSnapshotsByteIdenticalAcrossThreads) {
     } else {
       EXPECT_EQ(bytes, expected) << "at threads=" << threads;
     }
+    // Every executed cell timed itself into its slot, and run_batch()
+    // observed each slot once.
+    const MetricsSnapshot all = reg.snapshot();
+    std::int64_t misses = -1;
+    for (const auto& c : all.counters) {
+      if (c.name == "svc.cache_misses") misses = c.value;
+    }
+    std::int64_t timed_cells = -1;
+    for (const auto& h : all.histograms) {
+      if (h.name == "time.svc.execute_us") timed_cells = h.count;
+    }
+    EXPECT_GT(misses, 0);
+    EXPECT_EQ(timed_cells, misses) << "at threads=" << threads;
   }
 }
 

@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <vector>
 
-#include "par/thread_pool.hpp"
 #include "util/check.hpp"
 #include "util/prng.hpp"
 
@@ -520,7 +519,7 @@ TEST(NetworkTest, RoundHookFiresAfterEachEndRound) {
   net.begin_round();
   net.end_round();
   EXPECT_EQ(rounds_seen, (std::vector<std::int64_t>{1, 2}));
-  // The hook sees final stats: lane flush and counting precede it.
+  // The hook sees the round's final stats.
   EXPECT_EQ(messages_seen, (std::vector<std::int64_t>{1, 1}));
   net.set_round_hook({});
   net.begin_round();
@@ -537,110 +536,18 @@ TEST(NetStatsTest, CountOfOutOfRangeTypeFailsLoudlyInDebug) {
 }
 #endif
 
-TEST(NetworkTest, LaneStagedSendsMatchSequentialDelivery) {
-  // Drives the same two-round script through a serial network and through
-  // a laned network whose sends are issued from pool workers; inboxes,
-  // stats, trace, and the silent flag must be bit-identical.
-  const int threads = 4;
-  Network serial(triangle());
-  Network laned(triangle());
-  serial.enable_trace(16);
-  laned.enable_trace(16);
-  laned.set_send_lanes(threads);
-  EXPECT_EQ(laned.send_lanes(), threads);
-  par::ThreadPool pool(threads);
-
-  auto script = [](Network& net, NodeId v, Round round) {
-    if (round == 0) {
-      // Every node messages both neighbours in the triangle.
-      for (const NodeId to : net.neighbors(v)) {
-        net.send(v, to, Message{MsgType::kPropose, v, to});
-      }
-    } else if (v == 1) {
-      net.send(1, 0, Message{MsgType::kAccept});
-    }
-  };
-
-  for (Round round = 0; round < 2; ++round) {
-    serial.begin_round();
-    for (NodeId v = 0; v < 3; ++v) script(serial, v, round);
-    serial.end_round();
-
-    laned.begin_round();
-    pool.parallel_for(0, 3, [&](std::int64_t v) {
-      script(laned, static_cast<NodeId>(v), round);
-    });
-    laned.end_round();
-
-    for (NodeId v = 0; v < 3; ++v) {
-      const InboxView want = serial.inbox(v);
-      const InboxView got = laned.inbox(v);
-      ASSERT_EQ(got.size(), want.size()) << "round " << round << " node " << v;
-      for (std::size_t i = 0; i < got.size(); ++i) {
-        EXPECT_EQ(got[i], want[i]) << "round " << round << " node " << v;
-      }
-    }
-    EXPECT_EQ(laned.last_round_was_silent(), serial.last_round_was_silent());
-  }
-  EXPECT_EQ(laned.stats(), serial.stats());
-  EXPECT_EQ(laned.trace(), serial.trace());
-}
-
-TEST(NetworkTest, FlushLanesPreservesSubPhaseOrder) {
-  // Two sub-loops inside one round (all of side A, then all of side B):
-  // flushing between them must keep every A-send ahead of every B-send in
-  // the inbox, exactly as the serial engine interleaves them.
-  Network net(triangle());
-  net.set_send_lanes(2);
-  par::ThreadPool pool(2);
-  net.begin_round();
-  pool.parallel_for(0, 2, [&](std::int64_t v) {
-    net.send(static_cast<NodeId>(v), 2, Message{MsgType::kPropose, v});
-  });
-  net.flush_lanes();
-  pool.parallel_for(0, 1, [&](std::int64_t) {
-    net.send(2, 0, Message{MsgType::kAccept});
-    net.send(2, 1, Message{MsgType::kAccept});
-  });
-  net.end_round();
-  ASSERT_EQ(net.inbox(2).size(), 2u);
-  EXPECT_EQ(net.inbox(2)[0].from, 0);  // node-id-major within the sub-phase
-  EXPECT_EQ(net.inbox(2)[1].from, 1);
-  ASSERT_EQ(net.inbox(0).size(), 1u);
-  EXPECT_EQ(net.inbox(0)[0].msg.type, MsgType::kAccept);
-}
-
-TEST(NetworkTest, LanedSendsStillEnforceModelChecks) {
-  // The CONGEST model checks fire at send() time even when the commit is
-  // deferred to a lane: double-send on a directed edge and non-edge sends
-  // must throw from inside the pool job (and propagate out of it).
+TEST(NetworkTest, RejectedSendsLeaveNoTrace) {
+  // A send that fails a model check (non-edge, second message on a
+  // directed edge) throws before it touches an inbox or the stats.
   Network net({{1}, {0}, {}});  // node 2 isolated
-  net.set_send_lanes(2);
-  par::ThreadPool pool(2);
   net.begin_round();
-  EXPECT_THROW(pool.parallel_for(0, 2, [&](std::int64_t) {
-    net.send(0, 2, Message{MsgType::kPropose});
-  }),
-               CheckError);
+  EXPECT_THROW(net.send(0, 2, Message{MsgType::kPropose}), CheckError);
   net.send(0, 1, Message{MsgType::kPropose});
   EXPECT_THROW(net.send(0, 1, Message{MsgType::kAccept}), CheckError);
   net.end_round();
   ASSERT_EQ(net.inbox(1).size(), 1u);
+  EXPECT_EQ(net.inbox(1)[0].msg.type, MsgType::kPropose);
   EXPECT_EQ(net.stats().messages, 1);
-}
-
-TEST(NetworkTest, SetSendLanesOnlyBetweenRounds) {
-  Network net(triangle());
-  EXPECT_THROW(net.set_send_lanes(0), CheckError);
-  net.begin_round();
-  EXPECT_THROW(net.set_send_lanes(2), CheckError);
-  net.end_round();
-  net.set_send_lanes(2);
-  net.set_send_lanes(1);  // back to direct sends
-  net.begin_round();
-  net.send(0, 1, Message{MsgType::kPropose});
-  net.end_round();
-  EXPECT_EQ(net.inbox(1).size(), 1u);
 }
 
 TEST(NetworkTest, HasEdgeQueries) {

@@ -1,7 +1,7 @@
-// Observability subsystem (src/obs/, ISSUE 4): recorder semantics, the
-// deterministic-merge contract (exported traces are bit-identical at every
-// thread count), round-sample accounting against NetStats, and the JSONL
-// round-trip the dasm-trace tool depends on.
+// Observability subsystem (src/obs/): recorder semantics, the determinism
+// contract (an exported trace is bit-identical run to run), round-sample
+// accounting against NetStats, and the JSONL round-trip the dasm-trace
+// tool depends on.
 #include "obs/trace.hpp"
 
 #include <gtest/gtest.h>
@@ -15,7 +15,6 @@
 #include "gen/generators.hpp"
 #include "mm/runner.hpp"
 #include "obs/export.hpp"
-#include "par/thread_pool.hpp"
 #include "testing_graphs.hpp"
 #include "util/check.hpp"
 
@@ -27,12 +26,6 @@ using obs::Event;
 using obs::MemorySink;
 using obs::Phase;
 using obs::RoundSample;
-
-// Thread counts the determinism tests sweep; hardware concurrency comes
-// last (may duplicate an earlier entry, which is harmless).
-std::vector<int> thread_ladder() {
-  return {1, 2, 4, par::hardware_threads()};
-}
 
 // ---- Recorder unit semantics -------------------------------------------
 
@@ -139,28 +132,6 @@ TEST(Recorder, RoundSamplesAreDeltas) {
   EXPECT_EQ(sink.rounds[1]
                 .messages_by_type[static_cast<std::size_t>(MsgType::kAccept)],
             2);
-}
-
-// The lane-merge contract in isolation: events staged by pool workers
-// commit in worker order, which under static contiguous chunking is
-// exactly the serial index order.
-TEST(Recorder, ParallelStagingCommitsInWorkerOrder) {
-  constexpr int kThreads = 4;
-  constexpr std::int64_t kItems = 103;  // deliberately not divisible
-  MemorySink sink;
-  obs::Recorder rec(&sink, kThreads);
-  par::ThreadPool pool(kThreads);
-  pool.parallel_for(0, kItems, [&](std::int64_t i) {
-    rec.counter(Counter::kActiveMen, 0, i);
-  });
-  NetStats stats;
-  stats.executed_rounds = 1;
-  rec.on_round(stats);
-
-  ASSERT_EQ(sink.events.size(), static_cast<std::size_t>(kItems));
-  for (std::int64_t i = 0; i < kItems; ++i) {
-    EXPECT_EQ(sink.events[static_cast<std::size_t>(i)].value, i);
-  }
 }
 
 // ---- Engine integration: accounting ------------------------------------
@@ -275,79 +246,54 @@ TEST(ObsEngine, MmRunnerPerIterationNetSumsToTotal) {
   EXPECT_EQ(live, r.live_after_iteration);
 }
 
-// ---- Determinism: bit-identical traces at every thread count ------------
+// ---- Determinism: a trace is bit-identical run to run ---------------------
 
-std::string asm_trace_bytes(mm::Backend backend, std::uint64_t seed,
-                            int threads) {
+std::string asm_trace_bytes(std::uint64_t seed) {
   const Instance inst = gen::complete_uniform(32, seed);
   MemorySink sink;
   core::AsmParams params;
   params.epsilon = 0.25;
-  params.mm_backend = backend;
   params.seed = seed;
-  params.threads = threads;
   params.obs_sink = &sink;
   params.obs_blocking_pairs = true;
   core::run_asm(inst, params);
   return obs::to_jsonl(sink);
 }
 
-TEST(ObsDeterminism, AsmTraceBitIdenticalAcrossThreadCounts) {
-  for (const std::uint64_t seed : {1, 2, 3}) {
-    const std::string serial =
-        asm_trace_bytes(mm::Backend::kPointerGreedy, seed, 1);
-    EXPECT_GT(serial.size(), 0u);
-    for (const int threads : thread_ladder()) {
-      EXPECT_EQ(asm_trace_bytes(mm::Backend::kPointerGreedy, seed, threads),
-                serial)
-          << "ASM trace diverged at threads=" << threads << " seed=" << seed;
-    }
-  }
+std::string rand_asm_trace_bytes(std::uint64_t seed) {
+  const Instance inst = gen::complete_uniform(32, seed);
+  MemorySink sink;
+  core::RandAsmParams params;
+  params.epsilon = 0.25;
+  params.seed = seed;
+  params.obs_sink = &sink;
+  core::run_rand_asm(inst, params);
+  return obs::to_jsonl(sink);
 }
 
-TEST(ObsDeterminism, RandAsmTraceBitIdenticalAcrossThreadCounts) {
-  for (const std::uint64_t seed : {1, 2, 3}) {
-    std::string serial;
-    for (const int threads : thread_ladder()) {
-      const Instance inst = gen::complete_uniform(32, seed);
-      MemorySink sink;
-      core::RandAsmParams params;
-      params.epsilon = 0.25;
-      params.seed = seed;
-      params.threads = threads;
-      params.obs_sink = &sink;
-      core::run_rand_asm(inst, params);
-      const std::string bytes = obs::to_jsonl(sink);
-      if (serial.empty()) {
-        serial = bytes;
-        EXPECT_GT(serial.size(), 0u);
-      }
-      EXPECT_EQ(bytes, serial) << "RandASM trace diverged at threads="
-                               << threads << " seed=" << seed;
-    }
-  }
+std::string mm_trace_bytes(std::uint64_t seed) {
+  const Graph g = testing::random_graph(96, 0.08, seed);
+  MemorySink sink;
+  mm::RunConfig config;
+  config.backend = mm::Backend::kIsraeliItai;
+  config.seed = seed;
+  config.obs_sink = &sink;
+  mm::run_maximal_matching(g, {}, config);
+  return obs::to_jsonl(sink);
 }
 
-TEST(ObsDeterminism, MmRunnerTraceBitIdenticalAcrossThreadCounts) {
+TEST(ObsDeterminism, TracesRepeatBitForBit) {
   for (const std::uint64_t seed : {1, 2, 3}) {
-    const Graph g = testing::random_graph(96, 0.08, seed);
-    std::string serial;
-    for (const int threads : thread_ladder()) {
-      MemorySink sink;
-      mm::RunConfig config;
-      config.backend = mm::Backend::kIsraeliItai;
-      config.seed = seed;
-      config.threads = threads;
-      config.obs_sink = &sink;
-      mm::run_maximal_matching(g, {}, config);
-      const std::string bytes = obs::to_jsonl(sink);
-      if (serial.empty()) {
-        serial = bytes;
-        EXPECT_GT(serial.size(), 0u);
-      }
-      EXPECT_EQ(bytes, serial) << "MM trace diverged at threads=" << threads
-                               << " seed=" << seed;
-    }
+    const std::string asm_trace = asm_trace_bytes(seed);
+    EXPECT_GT(asm_trace.size(), 0u);
+    EXPECT_EQ(asm_trace_bytes(seed), asm_trace) << "ASM seed=" << seed;
+    const std::string rand_trace = rand_asm_trace_bytes(seed);
+    EXPECT_GT(rand_trace.size(), 0u);
+    EXPECT_EQ(rand_asm_trace_bytes(seed), rand_trace)
+        << "RandASM seed=" << seed;
+    const std::string mm_trace = mm_trace_bytes(seed);
+    EXPECT_GT(mm_trace.size(), 0u);
+    EXPECT_EQ(mm_trace_bytes(seed), mm_trace) << "MM seed=" << seed;
   }
 }
 

@@ -2,13 +2,17 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
-#include <numeric>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "core/engine.hpp"
+#include "core/rand_asm.hpp"
+#include "gen/generators.hpp"
+#include "mm/runner.hpp"
 #include "par/sweep.hpp"
+#include "testing_graphs.hpp"
 #include "util/check.hpp"
 
 namespace dasm::par {
@@ -20,94 +24,61 @@ TEST(ThreadPool, RejectsZeroThreads) {
   EXPECT_THROW(ThreadPool(0), CheckError);
 }
 
-TEST(ThreadPool, ParallelForVisitsEachIndexExactlyOnce) {
+TEST(ThreadPool, RunWorkersRunsEveryWorkerOnceWithCallerAsWorkerZero) {
   for (const int threads : {1, 2, 4, 7}) {
     ThreadPool pool(threads);
-    constexpr std::int64_t kCount = 1000;
-    std::vector<int> visits(kCount, 0);
-    pool.parallel_for(0, kCount, [&](std::int64_t i) {
-      ++visits[static_cast<std::size_t>(i)];  // distinct slot per index
-    });
-    EXPECT_EQ(std::accumulate(visits.begin(), visits.end(), 0), kCount);
-    EXPECT_TRUE(std::all_of(visits.begin(), visits.end(),
-                            [](int v) { return v == 1; }));
-  }
-}
-
-TEST(ThreadPool, StaticChunksAreContiguousInWorkerOrder) {
-  // Worker w must own exactly [begin + n*w/T, begin + n*(w+1)/T): the
-  // property the Network's lane-order merge relies on for bit-identity.
-  constexpr std::int64_t kBegin = 3;
-  constexpr std::int64_t kEnd = 45;
-  for (const int threads : {2, 3, 5}) {
-    ThreadPool pool(threads);
-    std::vector<int> owner(kEnd - kBegin, -1);
-    pool.parallel_for(kBegin, kEnd, [&](std::int64_t i) {
-      owner[static_cast<std::size_t>(i - kBegin)] = ThreadPool::current_worker();
-    });
-    const std::int64_t n = kEnd - kBegin;
-    for (int w = 0; w < threads; ++w) {
-      const std::int64_t lo = n * w / threads;
-      const std::int64_t hi = n * (w + 1) / threads;
-      for (std::int64_t i = lo; i < hi; ++i) {
-        EXPECT_EQ(owner[static_cast<std::size_t>(i)], w) << "index " << i;
+    const auto caller = std::this_thread::get_id();
+    std::vector<int> calls(static_cast<std::size_t>(threads), 0);
+    std::atomic<bool> worker_zero_is_caller{false};
+    pool.run_workers([&](int worker) {
+      ++calls[static_cast<std::size_t>(worker)];  // distinct slot per worker
+      EXPECT_TRUE(ThreadPool::inside_job());
+      if (worker == 0) {
+        worker_zero_is_caller = std::this_thread::get_id() == caller;
       }
-    }
+    });
+    EXPECT_EQ(calls, std::vector<int>(static_cast<std::size_t>(threads), 1));
+    EXPECT_TRUE(worker_zero_is_caller);
+    EXPECT_FALSE(ThreadPool::inside_job());
   }
 }
 
-TEST(ThreadPool, CallerThreadActsAsWorkerZero) {
+TEST(ThreadPool, PropagatesTheFirstExceptionInWorkerOrder) {
   ThreadPool pool(4);
-  const auto caller = std::this_thread::get_id();
-  std::atomic<bool> worker_zero_is_caller{false};
-  pool.parallel_for(0, 100, [&](std::int64_t) {
-    if (ThreadPool::current_worker() == 0) {
-      worker_zero_is_caller = std::this_thread::get_id() == caller;
-    }
-  });
-  EXPECT_TRUE(worker_zero_is_caller);
-  // Outside a job the caller reads index 0 again.
-  EXPECT_EQ(ThreadPool::current_worker(), 0);
-  EXPECT_FALSE(ThreadPool::inside_job());
-}
-
-TEST(ThreadPool, EmptyAndSingletonRanges) {
-  ThreadPool pool(4);
-  int calls = 0;
-  pool.parallel_for(5, 5, [&](std::int64_t) { ++calls; });
-  EXPECT_EQ(calls, 0);
-  pool.parallel_for(7, 8, [&](std::int64_t i) {
-    ++calls;
-    EXPECT_EQ(i, 7);
-  });
-  EXPECT_EQ(calls, 1);
-}
-
-TEST(ThreadPool, PropagatesExceptionsFromWorkers) {
-  ThreadPool pool(4);
-  auto boom = [&](std::int64_t i) {
-    DASM_CHECK_MSG(i != 97, "worker failure at " << i);
-  };
-  EXPECT_THROW(pool.parallel_for(0, 256, boom), CheckError);
+  try {
+    pool.run_workers([](int worker) {
+      DASM_CHECK_MSG(worker == 0, "worker " << worker << " failed");
+    });
+    ADD_FAILURE() << "run_workers swallowed the workers' exceptions";
+  } catch (const CheckError& e) {
+    // Workers 1, 2 and 3 all throw; the lowest index wins, whichever
+    // thread finished first.
+    EXPECT_NE(std::string(e.what()).find("worker 1 failed"),
+              std::string::npos)
+        << e.what();
+  }
   // The pool survives a failed job and runs the next one.
-  std::atomic<std::int64_t> sum{0};
-  pool.parallel_for(0, 10, [&](std::int64_t i) { sum += i; });
-  EXPECT_EQ(sum.load(), 45);
+  std::atomic<int> sum{0};
+  pool.run_workers([&](int worker) { sum += worker; });
+  EXPECT_EQ(sum.load(), 0 + 1 + 2 + 3);
 }
 
-TEST(ThreadPool, NestedParallelForRunsInlineAsWorkerZero) {
+TEST(ThreadPool, NestedRunWorkersRunsInlineAsWorkerZero) {
   ThreadPool outer(3);
   ThreadPool inner(3);
-  std::atomic<std::int64_t> total{0};
-  std::atomic<bool> inner_worker_ok{true};
-  outer.parallel_for(0, 6, [&](std::int64_t) {
-    inner.parallel_for(0, 4, [&](std::int64_t i) {
-      if (ThreadPool::current_worker() != 0) inner_worker_ok = false;
-      total += i;
+  std::atomic<int> inner_calls{0};
+  std::atomic<bool> inline_on_caller{true};
+  outer.run_workers([&](int) {
+    const auto outer_thread = std::this_thread::get_id();
+    inner.run_workers([&](int worker) {
+      if (worker != 0 || std::this_thread::get_id() != outer_thread) {
+        inline_on_caller = false;
+      }
+      ++inner_calls;
     });
   });
-  EXPECT_TRUE(inner_worker_ok);  // nested loops degrade to serial inline
-  EXPECT_EQ(total.load(), 6 * (0 + 1 + 2 + 3));
+  EXPECT_TRUE(inline_on_caller);  // nested jobs degrade to serial inline
+  EXPECT_EQ(inner_calls.load(), 3);
 }
 
 TEST(ThreadPool, ReusableAcrossManyJobs) {
@@ -115,10 +86,10 @@ TEST(ThreadPool, ReusableAcrossManyJobs) {
   std::int64_t grand = 0;
   for (int job = 0; job < 50; ++job) {
     std::atomic<std::int64_t> sum{0};
-    pool.parallel_for(0, 100, [&](std::int64_t i) { sum += i; });
+    pool.run_workers([&](int worker) { sum += worker + 1; });
     grand += sum.load();
   }
-  EXPECT_EQ(grand, 50 * 4950);
+  EXPECT_EQ(grand, 50 * (1 + 2 + 3 + 4));
 }
 
 TEST(SweepRunner, MapReturnsResultsInIndexOrder) {
@@ -145,6 +116,48 @@ TEST(SweepRunner, HandlesMoreThreadsThanCells) {
 TEST(SweepRunner, DefaultsToHardwareConcurrency) {
   SweepRunner sweep(0);
   EXPECT_EQ(sweep.threads(), hardware_threads());
+}
+
+// Protocol runs inside concurrently executing sweep cells must each
+// reproduce the standalone run exactly.
+TEST(SweepRunner, EngineRunsInsideCellsMatchTheStandaloneRun) {
+  const Instance inst = gen::complete_uniform(12, 21);
+  core::AsmParams params;
+  params.epsilon = 0.5;
+  params.net_trace_events = 1 << 12;
+  const auto ref = core::run_asm(inst, params);
+  SweepRunner sweep(4);
+  const auto same = sweep.map<int>(8, [&](std::int64_t) {
+    const auto r = core::run_asm(inst, params);
+    return r.matching == ref.matching && r.net == ref.net &&
+                   r.net_trace == ref.net_trace
+               ? 1
+               : 0;
+  });
+  EXPECT_EQ(same, std::vector<int>(8, 1));
+}
+
+// A run is serial: the `threads` fields that remain on the run
+// configurations accept only 1.
+TEST(SerialRuns, ThreadsOtherThanOneIsACheckError) {
+  const Instance inst = gen::complete_uniform(8, 3);
+  const auto [g, is_left] = testing::random_bipartite(6, 6, 0.5, 4);
+  for (const int threads : {0, 2}) {
+    core::AsmParams asm_params;
+    asm_params.threads = threads;
+    EXPECT_THROW(core::run_asm(inst, asm_params), CheckError) << threads;
+
+    core::RandAsmParams rand_params;
+    rand_params.threads = threads;
+    EXPECT_THROW(core::run_rand_asm(inst, rand_params), CheckError)
+        << threads;
+
+    mm::RunConfig config;
+    config.backend = mm::Backend::kPointerGreedy;
+    config.threads = threads;
+    EXPECT_THROW(mm::run_maximal_matching(g, is_left, config), CheckError)
+        << threads;
+  }
 }
 
 }  // namespace

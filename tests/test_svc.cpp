@@ -155,6 +155,16 @@ TEST(SvcRequestFile, RejectsMalformedInput) {
   EXPECT_THROW(parse("dasm-requests 1\ninstance a gen complete 8 1\n"
                      "request a asm eps 1.5\n"),
                CheckError);
+  // Integers outside their field's type are errors, not narrowed values
+  // (2^32 + 5 is not an n = 5 instance, 2^32 + 2 is not a 2-round timeout).
+  EXPECT_THROW(parse("dasm-requests 1\ninstance g gen complete 4294967301 1\n"),
+               CheckError);
+  EXPECT_THROW(parse("dasm-requests 1\ninstance g gen complete 8 1\n"
+                     "request g asm retransmit-after 4294967298\n"),
+               CheckError);
+  EXPECT_THROW(parse("dasm-requests 1\ninstance a gen complete 8 1\n"
+                     "request a asm seed -1\n"),
+               CheckError);
 }
 
 // ---------------------------------------------------------------------------

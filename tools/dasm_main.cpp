@@ -6,10 +6,10 @@
 //   dasm run    --algo <name> (--in inst.txt | --family <name> --n <N>)
 //               [--eps E] [--seed S] [--max-rounds R] [--out matching.txt]
 //               [--backend det|ii|rp] [--mimic-gs=true]   (asm only)
-//               [--threads T]                       (asm, rand-asm)
 //               [--drop P] [--fault-seed S] [--retransmit-after K]
 //               [--max-retransmits M]               (asm, rand-asm)
 //               [--metrics-out snap.jsonl]          (asm, rand-asm)
+//               [--sweeps K]                        (truncated-gs)
 //   dasm verify --in inst.txt --matching matching.txt [--eps E]
 //   dasm batch  --requests reqs.txt [--out responses.txt] [--threads T]
 //               [--queue N] [--cache=false] [--trace-out trace.jsonl]
@@ -18,6 +18,11 @@
 //               [--cache=false] [--preload reqs.txt] [--port-file path]
 //               [--idle-timeout-ms N] [--max-line-bytes N] [--batch-max N]
 //               [--metrics-out snap.jsonl]
+//
+// Every subcommand rejects a flag it does not read (and any stray
+// argument) with exit status 2 and a usage line, so a typo cannot
+// silently change a run. A run is serial; --threads sizes only the
+// batch scheduler of `batch` and `serve` (DESIGN.md §6).
 //
 // --metrics-out writes a wall-clock metrics snapshot (src/obs/metrics.hpp,
 // DESIGN.md §11): ".prom" selects Prometheus text exposition, anything
@@ -43,6 +48,7 @@
 // startup. SIGTERM/SIGINT trigger a graceful drain: in-flight requests
 // finish, responses flush, then the process exits 0 (and writes the
 // process-lifetime metrics snapshot when --metrics-out is set).
+#include <algorithm>
 #include <atomic>
 #include <csignal>
 #include <fstream>
@@ -141,12 +147,10 @@ int cmd_info(const Cli& cli) {
   return 0;
 }
 
-// PR-2/PR-6 engine knobs shared by the asm and rand-asm paths: worker
-// threads, a lossy network, and the reliability sublayer. Every value is
-// result-preserving (threads) or deliberately degrading (drop without
-// retransmit) — see AsmParams for semantics.
+// Engine knobs shared by the asm and rand-asm paths: a lossy network and
+// the reliability sublayer. Drop without retransmit deliberately degrades
+// the result — see AsmParams for semantics.
 struct EngineFlags {
-  int threads = 1;
   FaultPlan fault_plan;
   int retransmit_after = 0;
   int max_retransmits = 64;
@@ -154,7 +158,6 @@ struct EngineFlags {
 
 EngineFlags parse_engine_flags(const Cli& cli, std::uint64_t default_seed) {
   EngineFlags flags;
-  flags.threads = static_cast<int>(cli.get_int("threads", 1));
   flags.fault_plan.drop = cli.get_double("drop", 0.0);
   flags.fault_plan.seed =
       static_cast<std::uint64_t>(cli.get_int("fault-seed",
@@ -186,7 +189,6 @@ int cmd_run(const Cli& cli) {
         params.seed = seed;
         params.max_rounds = cli.get_int("max-rounds", 0);
         params.per_player_quantiles = cli.get_bool("mimic-gs", false);
-        params.threads = engine.threads;
         params.fault_plan = engine.fault_plan;
         params.retransmit_after = engine.retransmit_after;
         params.max_retransmits = engine.max_retransmits;
@@ -206,7 +208,6 @@ int cmd_run(const Cli& cli) {
       core::RandAsmParams params;
       params.epsilon = eps;
       params.seed = seed;
-      params.threads = engine.threads;
       params.fault_plan = engine.fault_plan;
       params.retransmit_after = engine.retransmit_after;
       params.max_retransmits = engine.max_retransmits;
@@ -427,19 +428,76 @@ int usage() {
   return 2;
 }
 
+// A subcommand and exactly the flags it reads.
+struct Command {
+  const char* name;
+  int (*run)(const Cli&);
+  std::vector<std::string> flags;
+};
+
+std::vector<Command> commands() {
+  // make_instance() reads these for every subcommand that takes an
+  // instance.
+  const std::vector<std::string> instance = {"in", "family", "n",
+                                             "seed", "d", "p"};
+  const auto with_instance = [&](std::vector<std::string> flags) {
+    flags.insert(flags.begin(), instance.begin(), instance.end());
+    return flags;
+  };
+  return {
+      {"gen", cmd_gen, with_instance({"out"})},
+      {"info", cmd_info, instance},
+      {"run", cmd_run,
+       with_instance({"algo", "eps", "max-rounds", "out", "backend",
+                      "mimic-gs", "drop", "fault-seed", "retransmit-after",
+                      "max-retransmits", "metrics-out", "sweeps"})},
+      {"verify", cmd_verify, with_instance({"matching", "eps"})},
+      {"batch", cmd_batch,
+       {"requests", "out", "threads", "queue", "cache", "trace-out",
+        "metrics-out"}},
+      {"serve", cmd_serve,
+       {"port", "host", "threads", "queue", "cache", "preload", "port-file",
+        "idle-timeout-ms", "max-line-bytes", "batch-max", "metrics-out"}},
+  };
+}
+
+// Reports every flag `cmd` does not read and every stray argument; true
+// when there are none.
+bool flags_ok(const Cli& cli, const Command& cmd) {
+  bool ok = true;
+  for (const std::string& name : cli.flag_names()) {
+    if (std::find(cmd.flags.begin(), cmd.flags.end(), name) !=
+        cmd.flags.end()) {
+      continue;
+    }
+    std::cerr << "dasm " << cmd.name << ": unknown flag --" << name << '\n';
+    ok = false;
+  }
+  for (std::size_t i = 1; i < cli.positional().size(); ++i) {
+    std::cerr << "dasm " << cmd.name << ": unexpected argument '"
+              << cli.positional()[i] << "'\n";
+    ok = false;
+  }
+  if (!ok) {
+    std::cerr << "usage: dasm " << cmd.name;
+    for (const std::string& name : cmd.flags) {
+      std::cerr << " [--" << name << " V]";
+    }
+    std::cerr << '\n';
+  }
+  return ok;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   try {
     const Cli cli(argc, argv);
     if (cli.positional().empty()) return usage();
-    const std::string& cmd = cli.positional()[0];
-    if (cmd == "gen") return cmd_gen(cli);
-    if (cmd == "info") return cmd_info(cli);
-    if (cmd == "run") return cmd_run(cli);
-    if (cmd == "verify") return cmd_verify(cli);
-    if (cmd == "batch") return cmd_batch(cli);
-    if (cmd == "serve") return cmd_serve(cli);
+    for (const Command& cmd : commands()) {
+      if (cli.positional()[0] != cmd.name) continue;
+      return flags_ok(cli, cmd) ? cmd.run(cli) : 2;
+    }
     return usage();
   } catch (const dasm::CheckError& e) {
     std::cerr << "error: " << e.what() << '\n';

@@ -220,7 +220,7 @@ int bench_main(int argc, const char* const* argv) {
   config.svc.threads = opt.threads;
   config.svc.queue_capacity = workload.size() + 1;
   obs::MetricsRegistry registry;
-  if (!opt.metrics_out.empty()) config.metrics = &registry;
+  config.metrics = &registry;
   net::Server server(config);
   server.service().instances().add("g", gen::complete_uniform(n, 1));
   std::thread serve_thread([&] { server.run(); });
@@ -271,10 +271,11 @@ int bench_main(int argc, const char* const* argv) {
   table.print(std::cout);
 
   const svc::SvcStats stats = server.service().stats();
-  std::cout << "\nserver: " << server.counters().requests.load()
-            << " requests over " << server.counters().accepted.load()
+  const obs::MetricsSnapshot net = registry.snapshot();
+  std::cout << "\nserver: " << net.counter("net.requests")
+            << " requests over " << net.counter("net.accepted")
             << " connections, " << stats.cache_hits << " cache hits, "
-            << server.counters().batches.load() << " batches\n\n";
+            << stats.batches << " batches\n\n";
 
   const bool ok = pipelined_rps >= 1.2 * closed_rps;
   bench::print_verdict(ok, "pipelining amortizes the per-request wire cost");

@@ -1,16 +1,11 @@
 // A1 — ablation of ASM's Step-3 maximal-matching backend (the design
 // choice DESIGN.md substitutes for the HKP black box): deterministic
-// pointer-greedy vs Israeli–Itai vs random-priority, both standalone on
-// raw graphs and embedded inside ASM.
+// pointer-greedy vs Israeli–Itai vs random-priority vs color-class, both
+// standalone on raw graphs and embedded inside ASM.
 #include <iostream>
-
-#include <cmath>
-#include <functional>
 
 #include "bench_common.hpp"
 #include "core/engine.hpp"
-#include "mm/color_class_node.hpp"
-#include "mm/color_matching.hpp"
 #include "mm/runner.hpp"
 #include "stable/blocking.hpp"
 #include "util/stats.hpp"
@@ -27,13 +22,14 @@ int main() {
   const int seeds = 3;
   const NodeId n = bench::large_mode() ? 512 : 256;
 
-  std::cout << "standalone maximal matching on a ~8-regular bipartite "
+  std::cout << "standalone maximal matching on a 16-regular bipartite "
                "graph (n=" << n << " per side):\n";
   Table standalone({"backend", "iterations", "rounds", "messages",
                     "always_maximal"});
-  for (const auto backend :
-       {mm::Backend::kPointerGreedy, mm::Backend::kIsraeliItai,
-        mm::Backend::kRandomPriority}) {
+  const mm::Backend backends[] = {
+      mm::Backend::kPointerGreedy, mm::Backend::kIsraeliItai,
+      mm::Backend::kRandomPriority, mm::Backend::kColorClass};
+  for (const auto backend : backends) {
     Summary iters;
     Summary rounds;
     Summary msgs;
@@ -60,27 +56,6 @@ int main() {
                         Table::num(msgs.mean(), 0),
                         maximal ? "yes" : "NO"});
   }
-  {
-    // The color-class deterministic protocol (Panconesi–Rizzi style):
-    // rounds scale with Delta^2 log* n, independent of n.
-    Summary iters;
-    Summary rounds;
-    Summary msgs;
-    bool maximal = true;
-    for (int s = 1; s <= seeds; ++s) {
-      const Instance inst =
-          bench::make_family("regular", n, static_cast<std::uint64_t>(s));
-      const auto r = mm::run_color_matching(inst.graph().graph());
-      iters.add(static_cast<double>(r.iterations_executed));
-      rounds.add(static_cast<double>(r.net.executed_rounds));
-      msgs.add(static_cast<double>(r.net.messages));
-      maximal = maximal && r.maximal;
-    }
-    standalone.add_row({"color-class(det)", Table::num(iters.mean(), 1),
-                        Table::num(rounds.mean(), 1),
-                        Table::num(msgs.mean(), 0),
-                        maximal ? "yes" : "NO"});
-  }
   standalone.print(std::cout);
 
   std::cout << "\nembedded in ASM (complete preferences, n=" << n / 2
@@ -88,9 +63,7 @@ int main() {
   Table embedded({"backend", "rounds(exec)", "mm_rounds", "messages",
                   "blocking/|E|", "guarantee"});
   bool all_ok = true;
-  auto run_embedded = [&](const std::string& label,
-                          const std::function<void(core::AsmParams&,
-                                                   const Instance&)>& tweak) {
+  for (const auto backend : backends) {
     Summary rounds;
     Summary mmr;
     Summary msgs;
@@ -102,7 +75,7 @@ int main() {
       core::AsmParams params;
       params.epsilon = 0.25;
       params.seed = static_cast<std::uint64_t>(s) * 7 + 1;
-      tweak(params, inst);
+      params.mm_backend = backend;
       const auto r = core::run_asm(inst, params);
       rounds.add(static_cast<double>(r.net.executed_rounds));
       mmr.add(static_cast<double>(r.mm_rounds_executed));
@@ -114,29 +87,10 @@ int main() {
       ok = ok && f <= 0.25;
     }
     all_ok = all_ok && ok;
-    embedded.add_row({label, Table::num(rounds.mean(), 1),
+    embedded.add_row({mm::to_string(backend), Table::num(rounds.mean(), 1),
                       Table::num(mmr.mean(), 1), Table::num(msgs.mean(), 0),
                       Table::num(frac.mean(), 5), ok ? "met" : "VIOLATED"});
-  };
-  for (const auto backend :
-       {mm::Backend::kPointerGreedy, mm::Backend::kIsraeliItai,
-        mm::Backend::kRandomPriority}) {
-    run_embedded(mm::to_string(backend),
-                 [backend](core::AsmParams& p, const Instance&) {
-                   p.mm_backend = backend;
-                 });
   }
-  run_embedded("color-class(det)", [](core::AsmParams& p,
-                                      const Instance& inst) {
-    const NodeId k = static_cast<NodeId>(std::ceil(8.0 / p.epsilon));
-    const NodeId bound = core::g0_degree_bound(inst, k);
-    const NodeId n_bound = inst.graph().node_count();
-    p.mm_node_factory = [bound, n_bound](NodeId) {
-      return std::make_unique<mm::ColorClassNode>(bound, n_bound);
-    };
-    p.mm_rounds_per_iteration_override =
-        mm::color_class_rounds_per_iteration(n_bound);
-  });
   embedded.print(std::cout);
   std::cout << '\n';
   bench::print_verdict(all_ok,

@@ -8,7 +8,6 @@
 #include <iostream>
 
 #include "gen/generators.hpp"
-#include "mm/color_matching.hpp"
 #include "mm/runner.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
@@ -42,13 +41,12 @@ int main(int argc, char** argv) {
 
   for (const auto backend :
        {mm::Backend::kPointerGreedy, mm::Backend::kIsraeliItai,
-        mm::Backend::kRandomPriority}) {
+        mm::Backend::kRandomPriority, mm::Backend::kColorClass}) {
     mm::RunConfig c;
     c.backend = backend;
     c.seed = seed;
     add_row(mm::to_string(backend), mm::run_maximal_matching(g, is_left, c));
   }
-  add_row("color-class(det)", mm::run_color_matching(g));
   table.print(std::cout);
 
   // Wire-level view of Israeli-Itai's first MatchingRound(s), via the
@@ -57,24 +55,15 @@ int main(int argc, char** argv) {
             << trace_rounds << " MatchingRounds) ---\n";
   const Instance tiny = gen::regular_bipartite(4, 2, seed);
   const Graph& tg = tiny.graph().graph();
-  Network net(tg.adjacency());
-  net.enable_trace(4096);
-  std::vector<std::unique_ptr<mm::Node>> nodes;
-  for (NodeId v = 0; v < tg.node_count(); ++v) {
-    auto node = mm::make_node(mm::Backend::kIsraeliItai, seed, v);
-    node->reset(v, v < tiny.n_men(), tg.neighbors(v));
-    nodes.push_back(std::move(node));
-  }
-  for (int r = 0; r < trace_rounds * 4; ++r) {
-    net.begin_round();
-    for (NodeId v = 0; v < tg.node_count(); ++v) {
-      nodes[static_cast<std::size_t>(v)]->on_round(net.inbox(v), net);
-    }
-    net.end_round();
-  }
+  mm::RunConfig trace_config;
+  trace_config.backend = mm::Backend::kIsraeliItai;
+  trace_config.seed = seed;
+  trace_config.max_iterations = static_cast<int>(trace_rounds);
+  trace_config.trace_events = 4096;
+  const mm::RunResult traced = mm::run_maximal_matching(tg, {}, trace_config);
   Round last_round = -1;
   static const char* kStepName[] = {"pick", "keep", "choose", "resolve"};
-  for (const TraceEvent& e : net.trace()) {
+  for (const TraceEvent& e : traced.trace) {
     if (e.round != last_round) {
       std::cout << "round " << e.round << " ("
                 << kStepName[e.round % 4] << "):\n";
@@ -85,7 +74,7 @@ int main(int argc, char** argv) {
   }
   std::cout << "matched so far: ";
   for (NodeId v = 0; v < tg.node_count(); ++v) {
-    const NodeId p = nodes[static_cast<std::size_t>(v)]->partner();
+    const NodeId p = traced.matching.partner_of(v);
     if (p != kNoNode && v < p) std::cout << "(" << v << "," << p << ") ";
   }
   std::cout << "\n";

@@ -34,8 +34,8 @@ if [ "${1:-}" = "--check" ]; then
   cmake --build --preset tsan
   ctest --preset tsan -j "$jobs"
   ctest --test-dir build-tsan -L obs --output-on-failure -j "$jobs"
-  # Trace smoke: a bench emits a JSONL trace, dasm-trace must load it,
-  # print the rollups, and convert it to Chrome trace-event JSON that a
+  # Trace smoke: a bench emits a JSONL trace, `dasm-trace summary` must
+  # load it, print the rollups, and convert it to Chrome trace-event JSON that a
   # real JSON parser accepts.
   cmake -B build -G Ninja
   cmake --build build --target bench_e8_eps_blocking dasm_trace dasm_cli \
@@ -43,8 +43,9 @@ if [ "${1:-}" = "--check" ]; then
   smoke="$(mktemp -d)"
   trap 'rm -rf "$smoke"' EXIT
   build/bench/bench_e8_eps_blocking --trace-out "$smoke/e8.jsonl" >/dev/null
-  build/tools/dasm-trace "$smoke/e8.jsonl" >/dev/null
-  build/tools/dasm-trace "$smoke/e8.jsonl" --chrome "$smoke/e8.json" >/dev/null
+  build/tools/dasm-trace summary "$smoke/e8.jsonl" >/dev/null
+  build/tools/dasm-trace summary "$smoke/e8.jsonl" --chrome "$smoke/e8.json" \
+    >/dev/null
   if command -v python3 >/dev/null 2>&1; then
     python3 -m json.tool "$smoke/e8.json" >/dev/null
   fi
@@ -66,7 +67,7 @@ EOF
   build/tools/dasm batch --requests "$smoke/reqs.txt" \
     --out "$smoke/resp4.txt" --threads 4 >/dev/null
   cmp "$smoke/resp1.txt" "$smoke/resp4.txt"
-  build/tools/dasm-trace "$smoke/svc.jsonl" >/dev/null
+  build/tools/dasm-trace summary "$smoke/svc.jsonl" >/dev/null
   echo "service smoke OK"
   # Bench A9 one-cell smoke: the service-vs-naive comparison runs end to
   # end and the byte-equality cross-check inside it passes.

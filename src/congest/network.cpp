@@ -28,8 +28,6 @@ NetStats& NetStats::operator+=(const NetStats& other) {
   return *this;
 }
 
-void NetStats::reset() { *this = NetStats{}; }
-
 NetStats NetStats::delta_since(const NetStats& base) const {
   NetStats d = *this;
   d.executed_rounds -= base.executed_rounds;

@@ -104,11 +104,6 @@ struct NetStats {
   /// cells. Counters add; max_message_bits takes the max.
   NetStats& operator+=(const NetStats& other);
 
-  /// Returns every field to its freshly-constructed value, so one struct
-  /// can be reused as a windowed accumulator: operator+= after reset()
-  /// matches a fresh struct exactly (asserted in test_network.cpp).
-  void reset();
-
   /// The traffic between the `base` snapshot and this one: counters
   /// subtract; max_message_bits carries over from this snapshot (a max
   /// has no windowed inverse). `base` must be an earlier snapshot of the

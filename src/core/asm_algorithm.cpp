@@ -11,15 +11,16 @@ namespace dasm::core {
 AsmEngine::AsmEngine(const Instance& inst, const AsmParams& params)
     : inst_(&inst),
       params_(params),
-      sched_(resolve_schedule(params,
-                              std::max(inst.n_men(), inst.n_women()))),
+      sched_(resolve_schedule(params, inst.n_men(), inst.n_women())),
       net_(inst.graph().graph().adjacency()),
       rec_(params.obs_sink) {
   const auto& bg = inst.graph();
+  // kColorClass's global bounds: G0's quantized degree bound, and the
+  // node count resolve_schedule sized its class pass by.
+  const NodeId degree_bound = g0_degree_bound(inst, sched_.k);
   auto make_mm = [&](NodeId node_id) {
-    return params.mm_node_factory
-               ? params.mm_node_factory(node_id)
-               : mm::make_node(params.mm_backend, params.seed, node_id);
+    return mm::make_node(params.mm_backend, params.seed, node_id,
+                         degree_bound, bg.node_count());
   };
   auto player_k = [&](const PreferenceList& pref) {
     // §3.2: k = deg(v) degenerates every quantile to a single partner.

@@ -5,8 +5,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <memory>
 
 #include "congest/fault.hpp"
 #include "congest/types.hpp"
@@ -25,20 +23,14 @@ struct AsmParams {
   double epsilon = 0.25;
 
   /// Maximal-matching subroutine for Step 3 of ProposalRound. The
-  /// deterministic backend yields ASM, the randomized one RandASM (§5.1).
+  /// deterministic backends yield ASM, the randomized ones RandASM (§5.1).
+  /// kColorClass nodes are sized by g0_degree_bound(inst, k) and the
+  /// instance's node count (core/engine.hpp).
   mm::Backend mm_backend = mm::Backend::kPointerGreedy;
 
   /// Root seed for randomized subroutines (ignored by the deterministic
   /// backend). Every node derives an independent stream from it.
   std::uint64_t seed = 1;
-
-  /// Custom Step-3 protocol: when set, every player embeds the node this
-  /// factory returns for its id instead of the mm_backend default (e.g. a
-  /// ColorClassNode sized by g0_degree_bound). The factory's protocol
-  /// must report its fixed rounds-per-iteration through the override
-  /// below so schedule accounting stays correct.
-  std::function<std::unique_ptr<mm::Node>(NodeId)> mm_node_factory;
-  int mm_rounds_per_iteration_override = 0;
 
   /// Quantile count; 0 means the paper's k = ceil(8 / epsilon).
   NodeId k = 0;

@@ -1,7 +1,9 @@
 #include "core/schedule.hpp"
 
+#include <algorithm>
 #include <cmath>
 
+#include "mm/color_class_node.hpp"
 #include "util/check.hpp"
 
 namespace dasm::core {
@@ -30,7 +32,9 @@ std::int64_t Schedule::hkp_normalized_rounds(NodeId n) const {
   return scheduled_proposal_rounds() * (3 + mm);
 }
 
-Schedule resolve_schedule(const AsmParams& params, NodeId n) {
+Schedule resolve_schedule(const AsmParams& params, NodeId n_men,
+                          NodeId n_women) {
+  const NodeId n = std::max(n_men, n_women);
   DASM_CHECK(n >= 1);
   DASM_CHECK_MSG(params.epsilon > 0.0 && params.epsilon <= 1.0,
                  "epsilon must be in (0, 1], got " << params.epsilon);
@@ -59,11 +63,18 @@ Schedule resolve_schedule(const AsmParams& params, NodeId n) {
 
   s.mm_budget_iterations = params.mm_iteration_budget;
   DASM_CHECK(s.mm_budget_iterations >= 0);
-  if (params.mm_rounds_per_iteration_override > 0) {
-    s.mm_rounds_per_iteration = params.mm_rounds_per_iteration_override;
-  } else {
-    s.mm_rounds_per_iteration =
-        params.mm_backend == mm::Backend::kIsraeliItai ? 4 : 3;
+  switch (params.mm_backend) {
+    case mm::Backend::kPointerGreedy:
+    case mm::Backend::kRandomPriority:
+      s.mm_rounds_per_iteration = 3;
+      break;
+    case mm::Backend::kIsraeliItai:
+      s.mm_rounds_per_iteration = 4;
+      break;
+    case mm::Backend::kColorClass:
+      s.mm_rounds_per_iteration =
+          mm::color_class_rounds_per_iteration(n_men + n_women);
+      break;
   }
   return s;
 }

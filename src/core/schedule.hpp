@@ -14,7 +14,9 @@ struct Schedule {
   int outer = 0;                      ///< outer iterations (i = 0..log n)
   std::int64_t inner = 0;             ///< QuantileMatch calls per outer iter
   int mm_budget_iterations = 0;       ///< 0 = run MM to quiescence
-  int mm_rounds_per_iteration = 0;    ///< 4 for Israeli–Itai, 3 for greedy
+  /// 4 for Israeli–Itai, 3 for pointer-greedy and random-priority, one
+  /// class pass (color_class_rounds_per_iteration) for color-class.
+  int mm_rounds_per_iteration = 0;
 
   /// QuantileMatch calls in the full schedule: outer * inner.
   std::int64_t scheduled_quantile_matches() const;
@@ -33,8 +35,11 @@ struct Schedule {
   std::int64_t hkp_normalized_rounds(NodeId n) const;
 };
 
-/// Resolves params against an instance with n = max(n_men, n_women)
-/// players per side. Validates every override.
-Schedule resolve_schedule(const AsmParams& params, NodeId n);
+/// Resolves params against an instance with n_men men and n_women women:
+/// the loop bounds use n = max(n_men, n_women) players per side, and the
+/// color-class backend's class pass is sized by the node count
+/// n_men + n_women, the id bound its nodes get. Validates every override.
+Schedule resolve_schedule(const AsmParams& params, NodeId n_men,
+                          NodeId n_women);
 
 }  // namespace dasm::core

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "core/engine.hpp"
 #include "core/player.hpp"
 #include "mm/runner.hpp"
 #include "util/check.hpp"
@@ -100,18 +101,23 @@ class SelfTimedWoman {
 
 SelfTimedResult run_selftimed_asm(const Instance& inst,
                                   const AsmParams& params) {
-  const NodeId n = std::max(inst.n_men(), inst.n_women());
-  const Schedule sched = resolve_schedule(params, n);
+  const Schedule sched = resolve_schedule(params, inst.n_men(), inst.n_women());
   const PhaseScript script(sched);
   const auto& bg = inst.graph();
   Network net(bg.graph().adjacency());
+  // The global bounds AsmEngine sizes a kColorClass node by.
+  const NodeId degree_bound = g0_degree_bound(inst, sched.k);
+  auto make_mm = [&](NodeId node_id) {
+    return mm::make_node(params.mm_backend, params.seed, node_id,
+                         degree_bound, bg.node_count());
+  };
 
   std::vector<SelfTimedMan> men;
   men.reserve(static_cast<std::size_t>(inst.n_men()));
   for (NodeId m = 0; m < inst.n_men(); ++m) {
     men.emplace_back(
         ManPlayer(bg.man_id(m), inst.man_pref(m), sched.k, inst.n_men(),
-                  mm::make_node(params.mm_backend, params.seed, bg.man_id(m))),
+                  make_mm(bg.man_id(m))),
         script, params.drop_unsatisfied_men);
   }
   std::vector<SelfTimedWoman> women;
@@ -119,8 +125,7 @@ SelfTimedResult run_selftimed_asm(const Instance& inst,
   for (NodeId w = 0; w < inst.n_women(); ++w) {
     women.emplace_back(
         WomanPlayer(bg.woman_id(w), inst.woman_pref(w), sched.k,
-                    mm::make_node(params.mm_backend, params.seed,
-                                  bg.woman_id(w))),
+                    make_mm(bg.woman_id(w))),
         script);
   }
 

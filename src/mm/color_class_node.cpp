@@ -3,13 +3,14 @@
 #include <algorithm>
 #include <bit>
 
-#include "mm/color_matching.hpp"
 #include "util/check.hpp"
 
 namespace dasm::mm {
 
 namespace {
 
+// One Cole–Vishkin step: recolor `own` against the parent's color by the
+// lowest bit position at which the two differ.
 std::int64_t cv_update(std::int64_t own, std::int64_t parent_color) {
   DASM_DCHECK(own != parent_color);
   const int i =
@@ -17,7 +18,29 @@ std::int64_t cv_update(std::int64_t own, std::int64_t parent_color) {
   return 2 * static_cast<std::int64_t>(i) + ((own >> i) & 1);
 }
 
+int bits_of(std::int64_t v) {
+  int bits = 0;
+  while (v > 0) {
+    ++bits;
+    v >>= 1;
+  }
+  return std::max(bits, 1);
+}
+
 }  // namespace
+
+int cole_vishkin_iterations(NodeId n) {
+  DASM_CHECK(n >= 1);
+  // Colors start in [0, n); each step maps colors < cap into
+  // [0, 2 * bits(cap - 1)). Iterate the cap until it reaches 6.
+  std::int64_t cap = std::max<std::int64_t>(n, 2);
+  int iters = 0;
+  while (cap > 6) {
+    cap = 2 * bits_of(cap - 1);
+    ++iters;
+  }
+  return iters;
+}
 
 int color_class_rounds_per_iteration(NodeId n_bound) {
   return 1 + (cole_vishkin_iterations(n_bound) + 1) + 3 * 6 * 3;

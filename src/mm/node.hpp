@@ -48,10 +48,13 @@ class Node {
 };
 
 /// Which maximal-matching subroutine backs Step 3 of ProposalRound.
+/// Append new values only: service cache keys and response lines digest
+/// the ordinal (svc::Request::params_digest).
 enum class Backend {
   kPointerGreedy,   ///< deterministic; stands in for HKP [6] (see DESIGN.md)
   kIsraeliItai,     ///< randomized, Appendix A
   kRandomPriority,  ///< randomized, Luby-style edge priorities (ablation)
+  kColorClass,      ///< deterministic, O(Delta^2 log* n) rounds
 };
 
 const char* to_string(Backend b);

@@ -1,5 +1,8 @@
 #include "mm/runner.hpp"
 
+#include <algorithm>
+
+#include "mm/color_class_node.hpp"
 #include "mm/israeli_itai.hpp"
 #include "mm/pointer_greedy.hpp"
 #include "mm/random_priority.hpp"
@@ -16,12 +19,15 @@ const char* to_string(Backend b) {
       return "israeli-itai(rand)";
     case Backend::kRandomPriority:
       return "random-priority(rand)";
+    case Backend::kColorClass:
+      return "color-class(det)";
   }
   return "unknown";
 }
 
 std::unique_ptr<Node> make_node(Backend backend, std::uint64_t seed,
-                                NodeId node_id) {
+                                NodeId node_id, NodeId degree_bound,
+                                NodeId id_bound) {
   switch (backend) {
     case Backend::kPointerGreedy:
       return std::make_unique<PointerGreedyNode>();
@@ -31,6 +37,8 @@ std::unique_ptr<Node> make_node(Backend backend, std::uint64_t seed,
     case Backend::kRandomPriority:
       return std::make_unique<RandomPriorityNode>(
           derive_stream(seed ^ 0x5b1ce, static_cast<std::uint64_t>(node_id)));
+    case Backend::kColorClass:
+      return std::make_unique<ColorClassNode>(degree_bound, id_bound);
   }
   DASM_CHECK_MSG(false, "unknown backend");
   return nullptr;
@@ -65,10 +73,13 @@ RunResult run_maximal_matching(const Graph& g,
   if (rec.enabled()) {
     net.set_round_hook([&rec](const NetStats& stats) { rec.on_round(stats); });
   }
+  const NodeId degree_bound = std::max<NodeId>(1, g.max_degree());
+  const NodeId id_bound = std::max<NodeId>(2, n);
   std::vector<std::unique_ptr<Node>> nodes;
   nodes.reserve(static_cast<std::size_t>(n));
   for (NodeId v = 0; v < n; ++v) {
-    auto node = make_node(config.backend, config.seed, v);
+    auto node =
+        make_node(config.backend, config.seed, v, degree_bound, id_bound);
     const bool left =
         !is_left.empty() && is_left[static_cast<std::size_t>(v)];
     node->reset(v, left, g.neighbors(v));
@@ -88,16 +99,11 @@ RunResult run_maximal_matching(const Graph& g,
 
   int iter = 0;
   rec.begin_span(obs::Phase::kRun, 0, net.stats());
-  // One NetStats reused as a windowed accumulator across iterations: reset
-  // at each iteration start, then merged with the iteration's delta — the
-  // reset()/operator+= round-trip test_network.cpp asserts on.
-  NetStats window;
   while (true) {
     if (config.stop_on_quiescence && all_quiescent()) break;
     if (config.max_iterations > 0 && iter >= config.max_iterations) break;
     if (config.max_iterations == 0 && all_quiescent()) break;
     rec.begin_span(obs::Phase::kMmIteration, iter, net.stats());
-    const NetStats at_iteration_start = net.stats();
     for (int r = 0; r < rounds_per_iter; ++r) {
       net.begin_round();
       for (NodeId v = 0; v < n; ++v) {
@@ -108,9 +114,6 @@ RunResult run_maximal_matching(const Graph& g,
     std::int64_t live = 0;
     for (const auto& node : nodes) live += node->quiescent() ? 0 : 1;
     result.live_after_iteration.push_back(live);
-    window.reset();
-    window += net.stats().delta_since(at_iteration_start);
-    result.per_iteration_net.push_back(window);
     rec.counter(obs::Counter::kMmLiveNodes, net.stats().executed_rounds, live);
     rec.end_span(obs::Phase::kMmIteration, iter, net.stats());
     ++iter;

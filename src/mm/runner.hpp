@@ -56,24 +56,25 @@ struct RunResult {
   /// Number of non-quiescent vertices after each iteration — the decay
   /// series of Lemma 8.
   std::vector<std::int64_t> live_after_iteration;
-  /// Traffic attributable to each iteration (same indexing as
-  /// live_after_iteration): NetStats windows accumulated via reset() +
-  /// delta_since, so sum(per_iteration_net) reproduces `net` exactly
-  /// (modulo max_message_bits, which windows carry rather than add).
-  std::vector<NetStats> per_iteration_net;
   /// Transmission ring (oldest first) when RunConfig::trace_events > 0.
   std::vector<TraceEvent> trace;
 };
 
 /// Runs the configured protocol on g. `is_left` gives the bipartite
-/// orientation (proposing side) and is required by kPointerGreedy; for
-/// kIsraeliItai it may be empty.
+/// orientation (proposing side) and is required by kPointerGreedy; the
+/// other backends ignore it, so it may be empty. kColorClass is sized by
+/// the degree bound max(1, max degree of g) and the id bound max(2, n).
 RunResult run_maximal_matching(const Graph& g, const std::vector<bool>& is_left,
                                const RunConfig& config);
 
 /// Creates a fresh protocol node for `backend`. Exposed so higher-level
 /// protocols (ProposalRound Step 3) can embed the same state machines.
+/// `degree_bound` (>= the degree of any graph the node is reset on) and
+/// `id_bound` (> every node id) are the global bounds kColorClass fixes
+/// its schedule by; the code that runs the nodes derives them from its
+/// own input, and the other backends ignore them.
 std::unique_ptr<Node> make_node(Backend backend, std::uint64_t seed,
-                                NodeId node_id);
+                                NodeId node_id, NodeId degree_bound,
+                                NodeId id_bound);
 
 }  // namespace dasm::mm

@@ -14,7 +14,6 @@
 #include <sstream>
 #include <utility>
 
-#include "stable/io.hpp"
 #include "util/check.hpp"
 
 namespace dasm::net {
@@ -192,7 +191,6 @@ void Server::accept_ready() {
     conn->fd = fd;
     conn->id = next_conn_id_++;
     conn->last_activity = std::chrono::steady_clock::now();
-    counters_.accepted.fetch_add(1, std::memory_order_relaxed);
     m_accepted_.inc();
     const std::int64_t id = conn->id;
     conns_.emplace(id, std::move(conn));
@@ -217,7 +215,7 @@ std::int64_t Server::read_ready(Connection& conn) {
     break;
   }
 
-  const std::int64_t before = counters_.requests.load(std::memory_order_relaxed);
+  std::int64_t admitted = 0;
   std::string line;
   while (conn.fd >= 0 && !conn.close_after_flush) {
     const LineBuffer::Next next = conn.in.next(&line);
@@ -231,7 +229,7 @@ std::int64_t Server::read_ready(Connection& conn) {
       reply_err(conn, "line contains an embedded NUL byte");
       continue;
     }
-    handle_line(conn, line);
+    if (handle_line(conn, line)) ++admitted;
   }
 
   if (eof && conn.fd >= 0) {
@@ -242,7 +240,7 @@ std::int64_t Server::read_ready(Connection& conn) {
       close_connection(conn.id);
     }
   }
-  return counters_.requests.load(std::memory_order_relaxed) - before;
+  return admitted;
 }
 
 bool Server::routes_pending_for(std::int64_t conn_id) const {
@@ -252,23 +250,23 @@ bool Server::routes_pending_for(std::int64_t conn_id) const {
   return false;
 }
 
-void Server::handle_line(Connection& conn, const std::string& line) {
+bool Server::handle_line(Connection& conn, const std::string& line) {
   if (conn.mode == Connection::Mode::kNew) {
     handle_first_line(conn, line);
-    return;
+    return false;
   }
   // kHttp connections never reach here (close_after_flush is set).
   std::istringstream ls(line);
   std::string kind;
-  if (!(ls >> kind)) return;  // blank line: ignore
-  if (kind == "request") {
-    handle_request_line(conn, ls);
-  } else if (kind == "instance") {
+  if (!(ls >> kind)) return false;  // blank line: ignore
+  if (kind == "request") return handle_request_line(conn, ls);
+  if (kind == "instance") {
     handle_instance_line(conn, ls);
   } else {
     reply_err(conn, "expected 'request' or 'instance', got '" +
                         sanitize(kind) + "'");
   }
+  return false;
 }
 
 void Server::handle_first_line(Connection& conn, const std::string& line) {
@@ -289,40 +287,45 @@ void Server::handle_first_line(Connection& conn, const std::string& line) {
   reply_err(conn, "expected 'dasm-requests 1' header or an HTTP GET");
 }
 
-void Server::handle_request_line(Connection& conn, std::istream& rest) {
+bool Server::handle_request_line(Connection& conn, std::istream& rest) {
   try {
     const svc::Request req = svc::parse_request(rest);
     if (service_.instances().find(req.instance) == nullptr) {
       reply_err(conn, "request names unregistered instance '" +
                           sanitize(req.instance) + "'");
-      return;
+      return false;
     }
     const std::int64_t id = service_.submit(req);
     if (id < 0) {
-      counters_.shed.fetch_add(1, std::memory_order_relaxed);
       append_out(conn, "ERR shed\n");
-      return;
+      return false;
     }
     routes_[id] = Route{conn.id, conn.next_seq++};
-    counters_.requests.fetch_add(1, std::memory_order_relaxed);
     m_requests_.inc();
+    return true;
   } catch (const CheckError& e) {
     reply_err(conn, sanitize(e.what()));
+    return false;
   }
 }
 
 void Server::handle_instance_line(Connection& conn, std::istream& rest) {
   try {
     const svc::RequestFile::InstanceDecl decl = svc::parse_instance_decl(rest);
+    if (decl.from_file) {
+      // A wire client must not make the server open its files (or learn
+      // their contents from parse diagnostics); file instances come from
+      // the operator, through --preload.
+      reply_err(conn, "instance '" + sanitize(decl.name) +
+                          "': file sources are not accepted on the wire");
+      return;
+    }
     if (service_.instances().find(decl.name) != nullptr) {
       reply_err(conn,
                 "instance '" + sanitize(decl.name) + "' already registered");
       return;
     }
-    service_.instances().add(decl.name,
-                             decl.from_file
-                                 ? load_instance_file(decl.path)
-                                 : svc::make_declared_instance(decl));
+    service_.instances().add(decl.name, svc::make_declared_instance(decl));
     // Success is silent, so a protocol conversation's response stream is
     // byte-identical to the `dasm batch` log for the same request file.
   } catch (const CheckError& e) {
@@ -344,7 +347,6 @@ void Server::serve_http(Connection& conn, const std::string& request_line) {
       obs::write_prometheus(os, config_.metrics->snapshot());
     }
     body = os.str();
-    counters_.scrapes.fetch_add(1, std::memory_order_relaxed);
     m_scrapes_.inc();
   } else {
     status = "404 Not Found";
@@ -360,7 +362,6 @@ void Server::serve_http(Connection& conn, const std::string& request_line) {
 }
 
 void Server::reply_err(Connection& conn, const std::string& diagnostic) {
-  counters_.err_lines.fetch_add(1, std::memory_order_relaxed);
   m_err_lines_.inc();
   append_out(conn, "ERR " + diagnostic + "\n");
 }
@@ -403,7 +404,6 @@ void Server::flush_ready(Connection& conn) {
 void Server::run_pending_batch() {
   const obs::ScopedTimer timer(m_batch_us_);
   service_.run_batch();
-  counters_.batches.fetch_add(1, std::memory_order_relaxed);
   std::ostringstream os;
   for (svc::Response& resp : service_.take_responses()) {
     const auto it = routes_.find(resp.id);
@@ -418,7 +418,6 @@ void Server::run_pending_batch() {
     resp.id = route.seq;  // global arrival ordinal -> per-connection seq
     os.str(std::string());
     resp.write_line(os);
-    counters_.responses.fetch_add(1, std::memory_order_relaxed);
     m_responses_.inc();
     append_out(*conn_it->second, os.str());
     // A finished peer (EOF already seen) lingers only for its responses.
@@ -435,7 +434,6 @@ void Server::close_connection(std::int64_t conn_id) {
   if (it == conns_.end() || it->second->fd < 0) return;
   ::close(it->second->fd);
   it->second->fd = -1;
-  counters_.closed.fetch_add(1, std::memory_order_relaxed);
   m_closed_.inc();
   doomed_.push_back(conn_id);
 }

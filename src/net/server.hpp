@@ -13,6 +13,10 @@
 //                               connection replaying a request file
 //                               receives, byte for byte, the response
 //                               stream `dasm batch` would have written.
+//                               `instance <name> file <path>` is refused
+//                               with an ERR line and the path is never
+//                               opened: file instances come from the
+//                               operator (--preload), not the wire.
 //   GET /metrics HTTP/1.x    -> one-shot HTTP scrape: a fresh
 //                               MetricsRegistry snapshot serialized via
 //                               write_prometheus, then close. Any other
@@ -93,7 +97,7 @@ struct ServeConfig {
   /// How long the graceful drain waits for slow consumers to take their
   /// flushed responses before closing anyway.
   std::int64_t drain_flush_timeout_ms = 5000;
-  /// The embedded service (threads, queue capacity, cache, shards).
+  /// The embedded service (threads, queue capacity, cache).
   /// svc.metrics is overridden with `metrics` below.
   svc::SvcConfig svc;
   /// Process-lifetime metrics registry: the service layer's svc.* metrics
@@ -104,20 +108,6 @@ struct ServeConfig {
   /// External stop flag (the CLI points this at its signal-handler flag);
   /// checked every poll cycle, same effect as request_stop().
   const std::atomic<bool>* stop_flag = nullptr;
-};
-
-/// Monotonic totals readable from any thread while the server runs (the
-/// registry itself is server-thread-only between scrapes) — the test
-/// suite synchronizes on these.
-struct ServeCounters {
-  std::atomic<std::int64_t> accepted{0};
-  std::atomic<std::int64_t> closed{0};
-  std::atomic<std::int64_t> requests{0};   ///< request lines admitted
-  std::atomic<std::int64_t> responses{0};  ///< response lines buffered
-  std::atomic<std::int64_t> shed{0};       ///< "ERR shed" answers
-  std::atomic<std::int64_t> err_lines{0};  ///< diagnostic ERR answers
-  std::atomic<std::int64_t> scrapes{0};    ///< GET /metrics served
-  std::atomic<std::int64_t> batches{0};
 };
 
 class Server {
@@ -146,8 +136,6 @@ class Server {
   /// Thread-safe; run() notices within one poll interval.
   void request_stop() { stop_.store(true, std::memory_order_relaxed); }
 
-  const ServeCounters& counters() const { return counters_; }
-
  private:
   struct Connection {
     int fd = -1;
@@ -173,9 +161,10 @@ class Server {
   /// Reads fd until EAGAIN and handles every complete line. Returns the
   /// number of request lines admitted (the batch trigger's "busy" signal).
   std::int64_t read_ready(Connection& conn);
-  void handle_line(Connection& conn, const std::string& line);
+  /// Returns true when the line was a request the service admitted.
+  bool handle_line(Connection& conn, const std::string& line);
   void handle_first_line(Connection& conn, const std::string& line);
-  void handle_request_line(Connection& conn, std::istream& rest);
+  bool handle_request_line(Connection& conn, std::istream& rest);
   void handle_instance_line(Connection& conn, std::istream& rest);
   void serve_http(Connection& conn, const std::string& request_line);
   void reply_err(Connection& conn, const std::string& diagnostic);
@@ -200,7 +189,6 @@ class Server {
   std::unordered_map<std::int64_t, std::unique_ptr<Connection>> conns_;
   std::unordered_map<std::int64_t, Route> routes_;  ///< service id -> conn
   std::vector<std::int64_t> doomed_;  ///< closed mid-cycle, reaped after
-  ServeCounters counters_;
 
   // net.* metrics (inactive when config_.metrics == nullptr).
   obs::CounterHandle m_accepted_;

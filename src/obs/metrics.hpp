@@ -150,6 +150,14 @@ struct MetricsSnapshot {
   std::vector<Scalar> gauges;
   std::vector<HistogramSnapshot> histograms;
 
+  /// The named counter's value; 0 when it was never registered.
+  std::int64_t counter(std::string_view name) const {
+    for (const Scalar& c : counters) {
+      if (c.name == name) return c.value;
+    }
+    return 0;
+  }
+
   friend bool operator==(const MetricsSnapshot&,
                          const MetricsSnapshot&) = default;
 };

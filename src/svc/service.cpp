@@ -82,8 +82,6 @@ Response execute_request(const StoredInstance& inst, const Request& request) {
 
 MatchService::MatchService(SvcConfig config)
     : config_(config),
-      store_(config.store_shards),
-      cache_(config.cache_shards),
       sweep_(config.threads),
       rec_(config.obs_sink) {
   DASM_CHECK_MSG(config_.queue_capacity >= 1,

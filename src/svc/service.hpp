@@ -53,8 +53,6 @@ struct SvcConfig {
   /// Serve repeated keys from the ResultCache. Disabling re-executes
   /// every request (the naive baseline bench_a9 measures against).
   bool cache_results = true;
-  int store_shards = 8;
-  int cache_shards = 8;
   /// Observability sink (src/obs/): when set, the service records a
   /// kSvcBatch span per batch, a kSvcRequest span per committed response
   /// (in arrival order; span traffic = the protocol messages that request

@@ -1,9 +1,11 @@
-// Color-class deterministic maximal matching (Panconesi–Rizzi style) and
-// the Cole–Vishkin iteration bound.
-#include "mm/color_matching.hpp"
+// Color-class deterministic maximal matching (Panconesi–Rizzi style) run
+// standalone by mm::run_maximal_matching (Backend::kColorClass), and the
+// Cole–Vishkin iteration bound.
+#include "mm/color_class_node.hpp"
 
 #include <gtest/gtest.h>
 
+#include "mm/runner.hpp"
 #include "testing_graphs.hpp"
 #include "util/check.hpp"
 
@@ -17,24 +19,32 @@ using testing::random_bipartite;
 using testing::random_graph;
 using testing::star_graph;
 
+mm::RunResult run_color_class(const Graph& g) {
+  mm::RunConfig config;
+  config.backend = mm::Backend::kColorClass;
+  return mm::run_maximal_matching(g, {}, config);
+}
+
 TEST(ColeVishkin, IterationBoundIsTinyAndMonotone) {
   EXPECT_GE(mm::cole_vishkin_iterations(2), 0);
   EXPECT_LE(mm::cole_vishkin_iterations(1 << 20), 6);
-  EXPECT_LE(mm::cole_vishkin_iterations(7), mm::cole_vishkin_iterations(1 << 20));
+  EXPECT_LE(mm::cole_vishkin_iterations(7),
+            mm::cole_vishkin_iterations(1 << 20));
   EXPECT_THROW(mm::cole_vishkin_iterations(0), CheckError);
 }
 
 TEST(ColorMatching, EmptyAndEdgelessGraphs) {
-  EXPECT_TRUE(mm::run_color_matching(Graph(0)).maximal);
-  const auto r = mm::run_color_matching(Graph(4, {}));
+  EXPECT_TRUE(run_color_class(Graph(0)).maximal);
+  const auto r = run_color_class(Graph(4, {}));
   EXPECT_TRUE(r.maximal);
   EXPECT_EQ(r.matching.size(), 0);
+  EXPECT_EQ(r.iterations_executed, 0);
 }
 
 TEST(ColorMatching, MaximalOnFixedTopologies) {
   for (const Graph& g : {path_graph(2), path_graph(9), cycle_graph(10),
-                         star_graph(7), complete_graph(8)}) {
-    const auto r = mm::run_color_matching(g);
+                         cycle_graph(12), star_graph(7), complete_graph(8)}) {
+    const auto r = run_color_class(g);
     EXPECT_TRUE(r.matching.is_valid(g));
     EXPECT_TRUE(r.maximal) << "n=" << g.node_count();
   }
@@ -42,8 +52,8 @@ TEST(ColorMatching, MaximalOnFixedTopologies) {
 
 TEST(ColorMatching, DeterministicAndReproducible) {
   const Graph g = random_graph(60, 0.1, 4);
-  const auto a = mm::run_color_matching(g);
-  const auto b = mm::run_color_matching(g);
+  const auto a = run_color_class(g);
+  const auto b = run_color_class(g);
   EXPECT_EQ(a.matching, b.matching);
   EXPECT_EQ(a.net.executed_rounds, b.net.executed_rounds);
   EXPECT_EQ(a.net.messages, b.net.messages);
@@ -52,16 +62,21 @@ TEST(ColorMatching, DeterministicAndReproducible) {
 class ColorMatchingSeeds : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(ColorMatchingSeeds, MaximalOnRandomGraphs) {
-  const Graph g = random_graph(70, 0.08, GetParam());
-  const auto r = mm::run_color_matching(g);
-  EXPECT_TRUE(r.matching.is_valid(g));
-  EXPECT_TRUE(r.maximal);
+  for (const Graph& g : {random_graph(70, 0.08, GetParam()),
+                         random_graph(40, 0.1, GetParam())}) {
+    const auto r = run_color_class(g);
+    EXPECT_TRUE(r.matching.is_valid(g));
+    EXPECT_TRUE(r.maximal) << "n=" << g.node_count();
+  }
 }
 
 TEST_P(ColorMatchingSeeds, MaximalOnBipartiteGraphs) {
-  const auto [g, is_left] = random_bipartite(35, 35, 0.12, GetParam());
-  const auto r = mm::run_color_matching(g);
-  EXPECT_TRUE(r.maximal);
+  for (const auto& [g, is_left] : {random_bipartite(35, 35, 0.12, GetParam()),
+                                   random_bipartite(25, 25, 0.1, GetParam())}) {
+    const auto r = run_color_class(g);
+    EXPECT_TRUE(r.matching.is_valid(g));
+    EXPECT_TRUE(r.maximal) << "n=" << g.node_count();
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ColorMatchingSeeds,
@@ -73,25 +88,16 @@ TEST(ColorMatching, RoundsIndependentOfNForBoundedDegree) {
   std::vector<std::int64_t> rounds;
   for (const NodeId n : {64, 128, 256, 512}) {
     // Cycles have Delta = 2 everywhere.
-    const auto r = mm::run_color_matching(testing::cycle_graph(n));
+    const auto r = run_color_class(cycle_graph(n));
     EXPECT_TRUE(r.maximal);
     rounds.push_back(r.net.executed_rounds);
   }
   EXPECT_LE(rounds.back(), rounds.front() + 16);
 }
 
-TEST(ColorMatching, ScheduledCoversSkippedClasses) {
-  const Graph g = random_graph(40, 0.15, 9);
-  const auto trimmed = mm::run_color_matching(g, /*trim_empty_classes=*/true);
-  const auto full = mm::run_color_matching(g, /*trim_empty_classes=*/false);
-  EXPECT_EQ(trimmed.matching, full.matching);
-  EXPECT_LE(trimmed.net.executed_rounds, full.net.executed_rounds);
-  EXPECT_TRUE(full.maximal);
-}
-
 TEST(ColorMatching, UsesOnlyExpectedMessageTypes) {
   const Graph g = random_graph(40, 0.1, 11);
-  const auto r = mm::run_color_matching(g);
+  const auto r = run_color_class(g);
   EXPECT_GT(r.net.count_of(MsgType::kPort), 0);
   EXPECT_GT(r.net.count_of(MsgType::kColor), 0);
   EXPECT_EQ(r.net.count_of(MsgType::kMmPick), 0);

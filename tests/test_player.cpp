@@ -10,6 +10,11 @@
 namespace dasm::core {
 namespace {
 
+// Pointer-greedy ignores make_node's degree and id bounds.
+std::unique_ptr<mm::Node> greedy_node(NodeId id) {
+  return mm::make_node(mm::Backend::kPointerGreedy, 1, id, 2, 3);
+}
+
 // One man (node 0) who ranks two women (nodes 1, 2); both rank him back.
 // The arena owns both lists (players only keep views) and is declared
 // first so the views handed to the player constructors are valid.
@@ -17,10 +22,9 @@ struct Harness {
   Harness()
       : arena(std::vector<Ranking>{{0, 1}, {0}}, /*universe=*/2, "test"),
         net({{1, 2}, {0}, {0}}),
-        man(0, arena.list(0), /*k=*/2, /*woman_id_offset=*/1,
-            mm::make_node(mm::Backend::kPointerGreedy, 1, 0)),
-        w0(1, arena.list(1), 2, mm::make_node(mm::Backend::kPointerGreedy, 1, 1)),
-        w1(2, arena.list(1), 2, mm::make_node(mm::Backend::kPointerGreedy, 1, 2)) {}
+        man(0, arena.list(0), /*k=*/2, /*woman_id_offset=*/1, greedy_node(0)),
+        w0(1, arena.list(1), 2, greedy_node(1)),
+        w1(2, arena.list(1), 2, greedy_node(2)) {}
 
   PrefArena arena;
   Network net;
@@ -98,8 +102,7 @@ TEST(WomanPlayerTest, AcceptsBestProposingQuantile) {
   // Woman (node 2) ranks men 0 and 1; k = 2 so each is his own quantile.
   PrefArena arena(std::vector<Ranking>{{0, 1}}, 2, "woman");
   Network net({{2}, {2}, {0, 1}});
-  WomanPlayer w(2, arena.list(0), 2,
-                mm::make_node(mm::Backend::kPointerGreedy, 1, 2));
+  WomanPlayer w(2, arena.list(0), 2, greedy_node(2));
 
   net.begin_round();
   net.send(0, 2, Message{MsgType::kPropose});
@@ -118,8 +121,7 @@ TEST(WomanPlayerTest, AcceptsWholeQuantileWhenCoarse) {
   // k = 1: both men share quantile 1, so both get accepted.
   PrefArena arena(std::vector<Ranking>{{0, 1}}, 2, "woman");
   Network net({{2}, {2}, {0, 1}});
-  WomanPlayer w(2, arena.list(0), 1,
-                mm::make_node(mm::Backend::kPointerGreedy, 1, 2));
+  WomanPlayer w(2, arena.list(0), 1, greedy_node(2));
   net.begin_round();
   net.send(0, 2, Message{MsgType::kPropose});
   net.send(1, 2, Message{MsgType::kPropose});
@@ -134,8 +136,7 @@ TEST(WomanPlayerTest, AcceptsWholeQuantileWhenCoarse) {
 TEST(WomanPlayerTest, ProposalFromUnrankedManIsAViolation) {
   PrefArena arena(std::vector<Ranking>{{0}}, 2, "woman");
   Network net({{2}, {2}, {0, 1}});
-  WomanPlayer w(2, arena.list(0), 1,
-                mm::make_node(mm::Backend::kPointerGreedy, 1, 2));
+  WomanPlayer w(2, arena.list(0), 1, greedy_node(2));
   net.begin_round();
   net.send(1, 2, Message{MsgType::kPropose});  // man 1 is not on her list
   net.end_round();

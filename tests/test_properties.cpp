@@ -102,6 +102,9 @@ std::string param_name(const ::testing::TestParamInfo<Param>& info) {
     case mm::Backend::kRandomPriority:
       name += "_rp";
       break;
+    case mm::Backend::kColorClass:
+      name += "_cc";
+      break;
   }
   return name + "_s" + std::to_string(seed);
 }

@@ -28,7 +28,7 @@ AsmParams small_schedule(mm::Backend backend, std::uint64_t seed) {
 
 TEST(PhaseScript, EnumeratesTheRoundStructure) {
   AsmParams p = small_schedule(mm::Backend::kIsraeliItai, 1);
-  const Schedule sched = resolve_schedule(p, 16);
+  const Schedule sched = resolve_schedule(p, 16, 16);
   const PhaseScript script(sched);
   // 2 outer x 12 inner x k PRs x (3 + 6*4) rounds.
   EXPECT_EQ(script.total_rounds(),
@@ -64,7 +64,7 @@ TEST(PhaseScript, EnumeratesTheRoundStructure) {
 TEST(PhaseScript, RejectsRunToQuiescenceSchedules) {
   AsmParams p;
   p.mm_iteration_budget = 0;
-  const Schedule sched = resolve_schedule(p, 8);
+  const Schedule sched = resolve_schedule(p, 8, 8);
   EXPECT_THROW(PhaseScript{sched}, CheckError);
 }
 

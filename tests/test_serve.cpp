@@ -30,6 +30,7 @@
 #include "net/server.hpp"
 #include "net/wire.hpp"
 #include "obs/metrics.hpp"
+#include "stable/io.hpp"
 #include "svc/service.hpp"
 #include "util/check.hpp"
 
@@ -258,6 +259,68 @@ int count_prefixed(const std::vector<std::string>& lines,
   return n;
 }
 
+struct PromScrape {
+  std::string status;
+  std::map<std::string, double> values;        // series name (sans labels)
+  std::map<std::string, std::string> types;    // metric -> declared type
+  std::vector<std::string> malformed;
+};
+
+/// One GET over a fresh connection (itself counted as an accepted and
+/// closed connection). The registry is server-thread-only while the
+/// server runs, so live tests read it this way, and read
+/// TestServer::metrics directly only after stop().
+PromScrape scrape(int port, const std::string& path = "/metrics") {
+  Client client(port);
+  client.send_all("GET " + path + " HTTP/1.0\r\n\r\n");
+  PromScrape out;
+  out.status = client.must_read_line();
+  std::string line;
+  while (client.read_line(&line) && !line.empty()) {
+  }  // skip response headers
+  std::istringstream body(client.read_to_eof());
+  while (std::getline(body, line)) {
+    if (line.empty()) continue;
+    if (line.rfind("# TYPE ", 0) == 0) {
+      std::istringstream ls(line.substr(7));
+      std::string name, type;
+      ls >> name >> type;
+      out.types[name] = type;
+      continue;
+    }
+    if (line[0] == '#') continue;  // HELP etc.
+    // <name>[{labels}] <value> — the whole text-exposition grammar the
+    // exporter emits (no timestamps).
+    const std::size_t sp = line.rfind(' ');
+    const std::size_t brace = line.find('{');
+    if (sp == std::string::npos || sp == 0) {
+      out.malformed.push_back(line);
+      continue;
+    }
+    const std::string series =
+        line.substr(0, std::min(brace, sp));
+    bool name_ok = !series.empty() &&
+                   (std::isalpha(static_cast<unsigned char>(series[0])) ||
+                    series[0] == '_');
+    for (const char c : series) {
+      if (!std::isalnum(static_cast<unsigned char>(c)) && c != '_') {
+        name_ok = false;
+      }
+    }
+    try {
+      const double v = std::stod(line.substr(sp + 1));
+      if (name_ok) {
+        out.values[series] += v;  // histogram series sum over buckets
+      } else {
+        out.malformed.push_back(line);
+      }
+    } catch (const std::exception&) {
+      out.malformed.push_back(line);
+    }
+  }
+  return out;
+}
+
 // ---------------------------------------------------------------------------
 // Conformance: byte identity with `dasm batch`
 
@@ -380,7 +443,6 @@ TEST(ServeConformance, ShedReturnsErrShedAndCountsIt) {
   const std::vector<std::string> lines = client.must_read_lines(5);
   EXPECT_EQ(count_prefixed(lines, "ERR shed"), 4);
   EXPECT_EQ(count_prefixed(lines, "r 0 "), 1);
-  EXPECT_EQ(ts.server->counters().shed.load(), 4);
 
   // The svc.shed counter is scrapable live, on the same port.
   Client scraper(ts.port());
@@ -405,8 +467,11 @@ TEST(ServeConformance, GracefulDrainFlushesEveryAcceptedRequest) {
   }
   client.send_all(burst);
   // Stop the instant all six are admitted — none may be dropped.
-  ASSERT_TRUE(wait_until(
-      [&] { return ts.server->counters().requests.load() == 6; }));
+  ASSERT_TRUE(wait_until([&] {
+    const PromScrape live = scrape(ts.port());
+    const auto it = live.values.find("dasm_net_requests");
+    return it != live.values.end() && it->second == 6.0;
+  }));
   ts.stop();
 
   ASSERT_EQ(client.must_read_line(), "dasm-responses 1");
@@ -431,8 +496,8 @@ TEST(ServeConformance, IdleConnectionsAreClosed) {
   client.send_all("dasm-requests 1\n");
   ASSERT_EQ(client.must_read_line(), "dasm-responses 1");
   EXPECT_TRUE(client.at_eof());  // recv blocks until the idle close
-  EXPECT_TRUE(
-      wait_until([&] { return ts.server->counters().closed.load() == 1; }));
+  // The server counted that close before it accepted the scrape.
+  EXPECT_EQ(scrape(ts.port()).values.at("dasm_net_closed"), 1.0);
 }
 
 // ---------------------------------------------------------------------------
@@ -454,8 +519,15 @@ TEST(ServeMalformed, BadLinesAnswerErrWithoutDesyncingTheStream) {
   client.send_all("dasm-requests 1\ninstance g gen complete 12 1\n");
   ASSERT_EQ(client.must_read_line(), "dasm-responses 1");
 
+  // A readable, well-formed instance file: the wire must still refuse to
+  // open it, so the name stays unregistered.
+  const std::string path = ::testing::TempDir() + "/dasm_serve_file.txt";
+  save_instance_file(path, gen::complete_uniform(4, 1));
+
   const std::vector<std::pair<std::string, std::string>> cases = {
       {"request ghost asm\n", "unregistered instance"},
+      {"instance f file " + path + "\n", "not accepted on the wire"},
+      {"request f asm\n", "unregistered instance"},
       {"request g bogus-algo\n", "algo must be"},
       {"request g asm eps banana\n", "expected eps"},
       {"request g asm wibble 3\n", "unknown request key"},
@@ -504,64 +576,6 @@ TEST(ServeMalformed, GarbageBeforeAValidRequestIsSurvivable) {
 
 // ---------------------------------------------------------------------------
 // GET /metrics scrapes
-
-struct PromScrape {
-  std::string status;
-  std::map<std::string, double> values;        // series name (sans labels)
-  std::map<std::string, std::string> types;    // metric -> declared type
-  std::vector<std::string> malformed;
-};
-
-PromScrape scrape(int port, const std::string& path = "/metrics") {
-  Client client(port);
-  client.send_all("GET " + path + " HTTP/1.0\r\n\r\n");
-  PromScrape out;
-  out.status = client.must_read_line();
-  std::string line;
-  while (client.read_line(&line) && !line.empty()) {
-  }  // skip response headers
-  std::istringstream body(client.read_to_eof());
-  while (std::getline(body, line)) {
-    if (line.empty()) continue;
-    if (line.rfind("# TYPE ", 0) == 0) {
-      std::istringstream ls(line.substr(7));
-      std::string name, type;
-      ls >> name >> type;
-      out.types[name] = type;
-      continue;
-    }
-    if (line[0] == '#') continue;  // HELP etc.
-    // <name>[{labels}] <value> — the whole text-exposition grammar the
-    // exporter emits (no timestamps).
-    const std::size_t sp = line.rfind(' ');
-    const std::size_t brace = line.find('{');
-    if (sp == std::string::npos || sp == 0) {
-      out.malformed.push_back(line);
-      continue;
-    }
-    const std::string series =
-        line.substr(0, std::min(brace, sp));
-    bool name_ok = !series.empty() &&
-                   (std::isalpha(static_cast<unsigned char>(series[0])) ||
-                    series[0] == '_');
-    for (const char c : series) {
-      if (!std::isalnum(static_cast<unsigned char>(c)) && c != '_') {
-        name_ok = false;
-      }
-    }
-    try {
-      const double v = std::stod(line.substr(sp + 1));
-      if (name_ok) {
-        out.values[series] += v;  // histogram series sum over buckets
-      } else {
-        out.malformed.push_back(line);
-      }
-    } catch (const std::exception&) {
-      out.malformed.push_back(line);
-    }
-  }
-  return out;
-}
 
 TEST(ServeMetrics, ScrapesParseAndStayMonotonicAcrossABurst) {
   TestServer ts;
@@ -679,8 +693,9 @@ TEST(ServeSoak, FaultyReconnectingWavesConserveEveryRequest) {
   EXPECT_EQ(stats.committed, total);  // exactly one response per request
   EXPECT_EQ(stats.shed, 0);
   EXPECT_EQ(stats.cache_hits + stats.cache_misses, stats.committed);
-  EXPECT_EQ(ts.server->counters().responses.load(), total);
-  EXPECT_EQ(ts.server->counters().accepted.load(), kWaves * kConns);
+  const obs::MetricsSnapshot net = ts.metrics.snapshot();
+  EXPECT_EQ(net.counter("net.responses"), total);
+  EXPECT_EQ(net.counter("net.accepted"), kWaves * kConns);
 }
 
 }  // namespace

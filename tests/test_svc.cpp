@@ -57,6 +57,15 @@ TEST(SvcDigest, ParamsDigestSeparatesEveryKnob) {
   EXPECT_TRUE(differs([](Request& r) { r.max_retransmits = 8; }));
 }
 
+TEST(SvcDigest, ParamsDigestsArePinned) {
+  // Cache keys, and the key every response line prints, carry these
+  // digests. They may move only with a deliberate format change, never
+  // because mm::Backend gained a value somewhere other than at its end.
+  EXPECT_EQ(Request{}.params_digest(), 0x697a2ca538fc8659ULL);
+  std::istringstream is("g mm backend ii");
+  EXPECT_EQ(parse_request(is).params_digest(), 0xc8da0da0bb5ba8f6ULL);
+}
+
 // ---------------------------------------------------------------------------
 // Store and cache
 

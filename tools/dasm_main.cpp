@@ -45,7 +45,8 @@
 // GET /metrics Prometheus scrape endpoint on the same port. --port 0
 // binds an ephemeral port (announced on stdout, and in --port-file for
 // scripts); --preload registers a request file's instance declarations at
-// startup. SIGTERM/SIGINT trigger a graceful drain: in-flight requests
+// startup, and is the only way to serve a `file` instance: the wire
+// refuses them. SIGTERM/SIGINT trigger a graceful drain: in-flight requests
 // finish, responses flush, then the process exits 0 (and writes the
 // process-lifetime metrics snapshot when --metrics-out is set).
 #include <algorithm>
@@ -398,14 +399,15 @@ int cmd_serve(const Cli& cli) {
   server.run();
 
   const svc::SvcStats& stats = server.service().stats();
-  const net::ServeCounters& net = server.counters();
-  std::cout << "drained: " << net.accepted.load() << " connection(s), "
-            << stats.committed << " request(s) committed in " << stats.batches
-            << " batch(es), " << stats.shed << " shed, "
-            << net.scrapes.load() << " scrape(s)\n";
+  const obs::MetricsSnapshot snapshot = metrics.snapshot();
+  std::cout << "drained: " << snapshot.counter("net.accepted")
+            << " connection(s), " << stats.committed
+            << " request(s) committed in " << stats.batches << " batch(es), "
+            << stats.shed << " shed, " << snapshot.counter("net.scrapes")
+            << " scrape(s)\n";
   const std::string metrics_out = cli.get("metrics-out", "");
   if (!metrics_out.empty()) {
-    obs::write_metrics_file(metrics.snapshot(), metrics_out);
+    obs::write_metrics_file(snapshot, metrics_out);
     std::cout << "wrote metrics to " << metrics_out << '\n';
   }
   return 0;

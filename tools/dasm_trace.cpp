@@ -13,8 +13,6 @@
 //       compares two snapshots metric by metric; exits 1 when any metric
 //       regressed by more than PCT percent (default 25), so CI can gate
 //       on it mechanically.
-//   dasm-trace TRACE.jsonl [--chrome OUT.json]
-//       legacy spelling of `summary`.
 //
 // Every file argument accepts "-" for stdin. Exits nonzero on parse
 // errors and unknown flags, so the experiment harness can use a plain
@@ -310,8 +308,6 @@ int usage(const char* prog) {
       << "  " << prog << " diff BASE.jsonl CAND.jsonl [--threshold PCT]\n"
       << "      exits 1 when any metric regressed by more than PCT\n"
       << "      percent (default 25)\n"
-      << "  " << prog << " TRACE.jsonl [--chrome OUT.json]\n"
-      << "      legacy spelling of `summary`\n"
       << "  every file argument accepts \"-\" for stdin\n";
   return 2;
 }
@@ -545,7 +541,5 @@ int main(int argc, char** argv) {
     }
     return cmd_diff(cli, pos[1], pos[2]);
   }
-  // Legacy spelling: `dasm-trace TRACE.jsonl [--chrome OUT.json]`.
-  if (pos.size() != 1 || !flags_ok(cli, {"chrome"})) return usage(argv[0]);
-  return cmd_summary(cli, pos[0]);
+  return usage(argv[0]);
 }

@@ -35,27 +35,22 @@
 namespace dasm {
 namespace {
 
-std::vector<std::vector<NodeId>> complete_bipartite(NodeId half) {
-  std::vector<std::vector<NodeId>> adj(static_cast<std::size_t>(2 * half));
+Graph complete_bipartite(NodeId half) {
+  std::vector<Edge> edges;
   for (NodeId u = 0; u < half; ++u) {
-    for (NodeId v = 0; v < half; ++v) {
-      adj[static_cast<std::size_t>(u)].push_back(half + v);
-      adj[static_cast<std::size_t>(half + v)].push_back(u);
-    }
+    for (NodeId v = 0; v < half; ++v) edges.push_back({u, half + v});
   }
-  return adj;
+  return Graph(2 * half, edges);
 }
 
 // One all-edges round plus the inbox read pass (the a6 driver shape).
-std::int64_t saturate_round(Network& net,
-                            const std::vector<std::vector<NodeId>>& adj,
-                            int round) {
+std::int64_t saturate_round(Network& net, int round) {
   net.begin_round();
-  const auto n = static_cast<NodeId>(adj.size());
+  const NodeId n = net.node_count();
   for (NodeId u = 0; u < n; ++u) {
     const auto id_payload = static_cast<std::int64_t>((u * 31 + round) % n);
     const auto rank_payload = static_cast<std::int64_t>(round % 997 + 1);
-    for (NodeId v : adj[static_cast<std::size_t>(u)]) {
+    for (NodeId v : net.neighbors(u)) {
       net.send(u, v, Message{MsgType::kPropose, id_payload, rank_payload});
     }
   }
@@ -70,16 +65,15 @@ std::int64_t saturate_round(Network& net,
 std::int64_t g_sink = 0;  // defeats dead-code elimination of the read pass
 
 // rounds/s of the saturated loop, best of `reps` timed windows.
-double saturated_rounds_per_sec(const std::vector<std::vector<NodeId>>& adj,
-                                int rounds, int reps,
+double saturated_rounds_per_sec(const Graph& graph, int rounds, int reps,
                                 obs::MetricsRegistry* registry) {
-  Network net(adj, 1 << 20);
+  Network net(graph, 1 << 20);
   if (registry != nullptr) net.set_metrics(registry);
-  for (int r = 0; r < 3; ++r) g_sink += saturate_round(net, adj, r);
+  for (int r = 0; r < 3; ++r) g_sink += saturate_round(net, r);
   double best = 1e300;
   for (int rep = 0; rep < reps; ++rep) {
     const auto t0 = std::chrono::steady_clock::now();
-    for (int r = 0; r < rounds; ++r) g_sink += saturate_round(net, adj, r);
+    for (int r = 0; r < rounds; ++r) g_sink += saturate_round(net, r);
     const auto t1 = std::chrono::steady_clock::now();
     best = std::min(best, std::chrono::duration<double>(t1 - t0).count());
   }
@@ -128,17 +122,17 @@ int bench_main(int argc, const char* const* argv) {
       "instrumented >= 0.5x null rounds/s on the saturated-round loop");
 
   // ---- Transparency: network layer ------------------------------------
-  const auto adj = complete_bipartite(64);
+  const Graph graph = complete_bipartite(64);
   {
     obs::MetricsRegistry registry;
-    Network plain(adj, 1 << 20);
-    Network instrumented(adj, 1 << 20);
+    Network plain(graph, 1 << 20);
+    Network instrumented(graph, 1 << 20);
     instrumented.set_metrics(&registry);
     std::int64_t plain_sum = 0;
     std::int64_t inst_sum = 0;
     for (int r = 0; r < 25; ++r) {
-      plain_sum += saturate_round(plain, adj, r);
-      inst_sum += saturate_round(instrumented, adj, r);
+      plain_sum += saturate_round(plain, r);
+      inst_sum += saturate_round(instrumented, r);
     }
     DASM_CHECK(plain_sum == inst_sum);
     DASM_CHECK(plain.stats() == instrumented.stats());
@@ -182,9 +176,9 @@ int bench_main(int argc, const char* const* argv) {
     obs::MetricsRegistry registry;
     Row r;
     r.layer = "network saturated rounds";
-    r.null_per_s = saturated_rounds_per_sec(adj, sat_rounds, reps, nullptr);
+    r.null_per_s = saturated_rounds_per_sec(graph, sat_rounds, reps, nullptr);
     r.instrumented_per_s =
-        saturated_rounds_per_sec(adj, sat_rounds, reps, &registry);
+        saturated_rounds_per_sec(graph, sat_rounds, reps, &registry);
     r.ratio = r.instrumented_per_s / r.null_per_s;
     rows.push_back(r);
   }

@@ -180,6 +180,18 @@ std::vector<std::vector<NodeId>> circulant(NodeId n, NodeId d) {
   return adj;
 }
 
+// The arena engine borrows a Graph; the legacy replica keeps its own
+// adjacency lists, as the engine it copies did.
+Graph graph_of(const std::vector<std::vector<NodeId>>& adj) {
+  std::vector<Edge> edges;
+  for (NodeId u = 0; u < static_cast<NodeId>(adj.size()); ++u) {
+    for (const NodeId v : adj[static_cast<std::size_t>(u)]) {
+      if (u < v) edges.push_back({u, v});
+    }
+  }
+  return Graph(static_cast<NodeId>(adj.size()), edges);
+}
+
 // One all-edges round followed by the read pass every experiment's driver
 // performs: each directed edge carries a protocol-shaped message (an id
 // and a rank payload), then every node consumes its inbox.
@@ -232,7 +244,8 @@ Throughput time_saturated(Engine& eng,
 // bit-for-bit agreement of inboxes, stats, and the silent flag.
 bool engines_agree(const std::vector<std::vector<NodeId>>& adj, int rounds,
                    std::uint64_t seed) {
-  Network arena(adj);
+  const Graph graph = graph_of(adj);
+  Network arena(graph);
   LegacyEngine legacy(adj, arena.message_bit_budget());
   Xoshiro256 rng(seed);
   for (int r = 0; r < rounds; ++r) {
@@ -301,7 +314,8 @@ int main(int argc, char** argv) {
       const std::size_t cap = 1024;
       const int rounds = traced ? (large ? 12 : 5) : cfg.rounds;
       LegacyEngine legacy(cfg.adj, 1 << 20);
-      Network arena(cfg.adj, 1 << 20);
+      const Graph graph = graph_of(cfg.adj);
+      Network arena(graph, 1 << 20);
       if (traced) {
         legacy.enable_trace(cap);
         arena.enable_trace(cap);
@@ -350,8 +364,9 @@ int main(int argc, char** argv) {
   // the ring buffer is preallocated, so tracing stays allocation-free).
   bool zero_alloc = true;
   const auto alloc_adj = complete_bipartite(32);
+  const Graph alloc_graph = graph_of(alloc_adj);
   for (const bool traced : {false, true}) {
-    Network arena(alloc_adj);
+    Network arena(alloc_graph);
     if (traced) arena.enable_trace(64);
     for (int r = 0; r < 4; ++r) g_sink += saturate_round(arena, alloc_adj, r);
     const long long before = g_heap_allocs.load(std::memory_order_relaxed);
@@ -373,7 +388,8 @@ int main(int argc, char** argv) {
   if (!opts.metrics_out.empty()) {
     obs::MetricsRegistry registry;
     const auto metrics_adj = complete_bipartite(128);
-    Network arena(metrics_adj, 1 << 20);
+    const Graph metrics_graph = graph_of(metrics_adj);
+    Network arena(metrics_graph, 1 << 20);
     arena.set_metrics(&registry);
     for (int r = 0; r < 50; ++r) {
       g_sink += saturate_round(arena, metrics_adj, r);

@@ -62,40 +62,21 @@ int default_bit_budget(std::size_t n) {
 
 }  // namespace
 
-Network::Network(std::vector<std::vector<NodeId>> adjacency,
-                 int message_bit_budget)
-    : adj_(std::move(adjacency)) {
-  const auto n = adj_.size();
+Network::Network(const Graph& graph, int message_bit_budget)
+    : graph_(&graph) {
+  const auto n = static_cast<std::size_t>(graph.node_count());
   bit_budget_ = message_bit_budget > 0 ? message_bit_budget
                                        : default_bit_budget(n);
-  for (std::size_t v = 0; v < n; ++v) {
-    auto& nb = adj_[v];
-    std::sort(nb.begin(), nb.end());
-    DASM_CHECK_MSG(std::adjacent_find(nb.begin(), nb.end()) == nb.end(),
-                   "duplicate neighbour in adjacency of node " << v);
-    for (NodeId u : nb) {
-      DASM_CHECK_MSG(u >= 0 && static_cast<std::size_t>(u) < n,
-                     "neighbour id out of range: " << u);
-      DASM_CHECK_MSG(u != static_cast<NodeId>(v), "self-loop at node " << v);
-    }
-  }
-  // Verify symmetry: (u, v) in adj[u] implies (v, u) in adj[v].
-  for (std::size_t v = 0; v < n; ++v) {
-    for (NodeId u : adj_[v]) {
-      const auto& back = adj_[static_cast<std::size_t>(u)];
-      DASM_CHECK_MSG(
-          std::binary_search(back.begin(), back.end(), static_cast<NodeId>(v)),
-          "asymmetric adjacency between " << v << " and " << u);
-    }
-  }
   // Size the delivery arenas once: node v receives at most one message per
   // in-edge per round, so its inbox fits in deg(v) slots forever.
   slot_offset_.resize(n + 1, 0);
   for (std::size_t v = 0; v < n; ++v) {
-    slot_offset_[v + 1] = slot_offset_[v] + adj_[v].size();
+    slot_offset_[v + 1] =
+        slot_offset_[v] + graph.neighbors(static_cast<NodeId>(v)).size();
   }
   for (Arena& a : arenas_) {
-    a.slots.resize(slot_offset_[n]);
+    a.slots.reset(static_cast<Envelope*>(
+        ::operator new(slot_offset_[n] * sizeof(Envelope))));
     a.fill.assign(n, 0);
     a.dirty.reserve(n);
   }
@@ -103,15 +84,16 @@ Network::Network(std::vector<std::vector<NodeId>> adjacency,
   port_offset_.resize(n + 1, 0);
   port_mask_.resize(n, 0);
   for (std::size_t v = 0; v < n; ++v) {
+    const std::size_t degree = slot_offset_[v + 1] - slot_offset_[v];
     std::size_t cap = 2;
-    while (cap < 2 * adj_[v].size()) cap *= 2;
+    while (cap < 2 * degree) cap *= 2;
     port_mask_[v] = static_cast<std::uint32_t>(cap - 1);
     port_offset_[v + 1] = port_offset_[v] + cap;
   }
   port_key_.assign(port_offset_[n], kNoNode);
   sent_stamp_.assign(port_offset_[n], -1);
   for (std::size_t v = 0; v < n; ++v) {
-    for (const NodeId u : adj_[v]) {
+    for (const NodeId u : graph.neighbors(static_cast<NodeId>(v))) {
       std::uint32_t slot =
           (static_cast<std::uint32_t>(u) * 2654435761u) & port_mask_[v];
       while (port_key_[port_offset_[v] + slot] != kNoNode) {
@@ -120,17 +102,6 @@ Network::Network(std::vector<std::vector<NodeId>> adjacency,
       port_key_[port_offset_[v] + slot] = u;
     }
   }
-}
-
-const std::vector<NodeId>& Network::neighbors(NodeId v) const {
-  DASM_CHECK(v >= 0 && v < node_count());
-  return adj_[static_cast<std::size_t>(v)];
-}
-
-bool Network::has_edge(NodeId u, NodeId v) const {
-  if (u < 0 || v < 0 || u >= node_count() || v >= node_count()) return false;
-  const auto& nb = adj_[static_cast<std::size_t>(u)];
-  return std::binary_search(nb.begin(), nb.end(), v);
 }
 
 std::size_t Network::edge_slot(NodeId from, NodeId to) const {
@@ -250,7 +221,6 @@ void Network::end_round_impl() {
   }
   retired.dirty.clear();
   delivered_ ^= 1;
-  last_round_silent_ = arenas_[delivered_].dirty.empty();
   ++stats_.executed_rounds;
   ++stats_.scheduled_rounds;
   if (round_hook_) round_hook_(stats_);
@@ -536,7 +506,6 @@ void Network::publish_fault_round() {
     f_front_[static_cast<std::size_t>(v)].clear();
   }
   f_front_dirty_.clear();
-  std::int64_t published = 0;
   for (const NodeId v : f_staging_dirty_) {
     auto& staged = f_staging_[static_cast<std::size_t>(v)];
     // Commit-ordinal order: a reliable faulty execution reads each inbox
@@ -548,12 +517,10 @@ void Network::publish_fault_round() {
                      });
     auto& front = f_front_[static_cast<std::size_t>(v)];
     for (const StagedArrival& s : staged) front.push_back(s.env);
-    published += static_cast<std::int64_t>(staged.size());
     staged.clear();
     f_front_dirty_.push_back(v);
   }
   f_staging_dirty_.clear();
-  last_round_silent_ = published == 0;
 }
 
 void Network::set_round_hook(std::function<void(const NetStats&)> hook) {
@@ -580,7 +547,7 @@ InboxView Network::inbox(NodeId v) const {
   }
   const Arena& in = arenas_[delivered_];
   const auto sv = static_cast<std::size_t>(v);
-  return InboxView{in.slots.data() + slot_offset_[sv],
+  return InboxView{in.slots.get() + slot_offset_[sv],
                    static_cast<std::size_t>(in.fill[sv])};
 }
 

@@ -17,19 +17,28 @@
 // via charge_scheduled_rounds(), keeping the "paper schedule" accounting
 // distinct from the "executed" accounting (see DESIGN.md §2.3).
 //
+// The network borrows its communication graph: it is built on a `Graph`
+// (whose constructor already rejects self-loops, duplicate edges and
+// out-of-range endpoints, and which is symmetric by construction) and
+// reads neighbour lists from it, so the Graph must outlive the Network.
+//
 // Delivery is zero-allocation in steady state: because the model admits at
 // most one message per directed edge per round, every node's inbox fits in
 // a slot range of size deg(v). Messages live in two flat CSR-style arenas
 // (one contiguous Envelope buffer per direction of the double buffer, plus
 // a shared per-node offset table) that are sized once in the constructor;
 // end_round() flips the buffers by index and resets only the slots that
-// were actually used. inbox(v) hands out a view into the current arena.
+// were actually used. inbox(v) hands out a view into the current arena,
+// and receivers() lists the nodes whose inbox the last end_round() filled,
+// so a caller can step only the nodes that have something to read.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
+#include <new>
 #include <span>
 #include <utility>
 #include <vector>
@@ -37,6 +46,7 @@
 #include "congest/fault.hpp"
 #include "congest/message.hpp"
 #include "congest/types.hpp"
+#include "graph/graph.hpp"
 #include "obs/metrics.hpp"
 #include "util/check.hpp"
 
@@ -115,16 +125,18 @@ struct NetStats {
 
 class Network {
  public:
-  /// Builds a network over the given undirected adjacency lists.
-  /// `adjacency[v]` lists the neighbours of v; the relation must be
-  /// symmetric. `message_bit_budget` caps a single message's encoded size
-  /// (pass 0 to derive the standard CONGEST budget 8 * ceil(log2(n + 2))).
-  explicit Network(std::vector<std::vector<NodeId>> adjacency,
-                   int message_bit_budget = 0);
+  /// Builds a network over the communication graph `graph`, which it
+  /// borrows: the Graph must outlive the Network (a temporary cannot bind).
+  /// `message_bit_budget` caps a single message's encoded size (pass 0 to
+  /// derive the standard CONGEST budget 8 * ceil(log2(n + 2))).
+  explicit Network(const Graph& graph, int message_bit_budget = 0);
+  Network(Graph&&, int = 0) = delete;
 
-  NodeId node_count() const { return static_cast<NodeId>(adj_.size()); }
-  const std::vector<NodeId>& neighbors(NodeId v) const;
-  bool has_edge(NodeId u, NodeId v) const;
+  NodeId node_count() const { return graph_->node_count(); }
+  const std::vector<NodeId>& neighbors(NodeId v) const {
+    return graph_->neighbors(v);
+  }
+  bool has_edge(NodeId u, NodeId v) const { return graph_->has_edge(u, v); }
   int message_bit_budget() const { return bit_budget_; }
 
   /// Starts a communication round. Must alternate with end_round().
@@ -180,10 +192,18 @@ class Network {
   /// order. The view is invalidated by the next end_round().
   InboxView inbox(NodeId v) const;
 
+  /// The nodes whose inbox the most recent end_round() filled: each node
+  /// with a non-empty inbox appears exactly once, in no particular order.
+  /// The view is invalidated by the next end_round().
+  std::span<const NodeId> receivers() const {
+    return fault_mode_ ? std::span<const NodeId>(f_front_dirty_)
+                       : std::span<const NodeId>(arenas_[delivered_].dirty);
+  }
+
   /// True if the most recent end_round() delivered no messages at all —
   /// under fault injection, a round whose every copy was dropped or
   /// delayed reads as silent (nothing reached an inbox).
-  bool last_round_was_silent() const { return last_round_silent_; }
+  bool last_round_was_silent() const { return receivers().empty(); }
 
   /// Adds rounds that the paper's schedule allocates but the simulator
   /// skipped because they provably exchange no messages.
@@ -221,8 +241,14 @@ class Network {
   // One direction of the double buffer: a flat slot array indexed by the
   // shared CSR offsets, the per-node fill counts, and the list of nodes
   // with at least one filled slot (so resets touch only what was used).
+  // The slots are allocated but never initialized: send() writes a slot
+  // before any inbox() view covers it, and filling 2 * sum(deg) slots up
+  // front would be the largest cost of building a network.
+  struct FreeSlots {
+    void operator()(Envelope* slots) const { ::operator delete(slots); }
+  };
   struct Arena {
-    std::vector<Envelope> slots;
+    std::unique_ptr<Envelope[], FreeSlots> slots;
     std::vector<NodeId> fill;
     std::vector<NodeId> dirty;
   };
@@ -259,7 +285,7 @@ class Network {
     Envelope env;
   };
 
-  std::vector<std::vector<NodeId>> adj_;  // sorted neighbour lists
+  const Graph* graph_;                    // borrowed; sorted neighbour lists
   std::vector<std::size_t> slot_offset_;  // CSR offsets, size n + 1
   std::array<Arena, 2> arenas_;
   int delivered_ = 0;  // arenas_[delivered_] is readable; the other fills
@@ -274,7 +300,6 @@ class Network {
   std::vector<std::int64_t> sent_stamp_; // parallel to port_key_
   std::int64_t round_serial_ = 0;
   bool round_open_ = false;
-  bool last_round_silent_ = true;
   int bit_budget_ = 0;
   NetStats stats_;
   std::function<void(const NetStats&)> round_hook_;

@@ -12,7 +12,7 @@ AsmEngine::AsmEngine(const Instance& inst, const AsmParams& params)
     : inst_(&inst),
       params_(params),
       sched_(resolve_schedule(params, inst.n_men(), inst.n_women())),
-      net_(inst.graph().graph().adjacency()),
+      net_(inst.graph().graph()),
       rec_(params.obs_sink) {
   const auto& bg = inst.graph();
   // kColorClass's global bounds: G0's quantized degree bound, and the
@@ -120,9 +120,7 @@ AsmResult AsmEngine::run() {
     rec_.begin_span(obs::Phase::kOuter, i, net_.stats());
     const std::int64_t threshold =
         params_.gate_by_degree ? (std::int64_t{1} << std::min(i, 62)) : 1;
-    for_each_man([&](NodeId m) {
-      men_[static_cast<std::size_t>(m)].set_outer_gate(threshold);
-    });
+    for (auto& man : men_) man.set_outer_gate(threshold);
 
     for (std::int64_t j = 0; j < sched_.inner; ++j) {
       const std::int64_t inner_index = inner_iteration_counter_;

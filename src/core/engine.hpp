@@ -27,7 +27,8 @@ class AsmEngine {
   AsmResult run();
 
  private:
-  // Algorithm 1. Returns true if any message was sent during the round.
+  // Algorithm 1 for the men in proposers_. Returns true if any message
+  // was sent during the round.
   bool run_proposal_round();
   // Step 3: drive the embedded maximal-matching protocol. Returns the
   // number of protocol iterations executed.
@@ -56,23 +57,22 @@ class AsmEngine {
 
   AsmResult build_result();
 
-  // Steps every man (resp. woman) through f in node-id order — the send
-  // order every trace and inbox reflects (DESIGN.md §6).
-  template <typename F>
-  void for_each_man(F&& f) {
-    for (NodeId m = 0; m < inst_->n_men(); ++m) f(m);
-  }
-  template <typename F>
-  void for_each_woman(F&& f) {
-    for (NodeId w = 0; w < inst_->n_women(); ++w) f(w);
-  }
-
   const Instance* inst_;
   AsmParams params_;
   Schedule sched_;
   Network net_;
   std::vector<ManPlayer> men_;
   std::vector<WomanPlayer> women_;
+
+  // The players each ProposalRound step can reach (DESIGN.md §2), in
+  // ascending id order so every send, inbox and trace matches stepping
+  // all players in id order (DESIGN.md §6). Members, so steady-state
+  // rounds reuse their storage and allocate nothing.
+  std::vector<NodeId> proposers_;  // Step 1: men who would propose
+  std::vector<NodeId> receivers_;  // sorted Network::receivers()
+  std::vector<NodeId> g0_men_;     // Steps 3-4: men an ACCEPT reached
+  std::vector<NodeId> g0_women_;   // Steps 3-4: women who accepted someone
+  std::vector<NodeId> mm_live_;    // Step 3: non-quiescent G0 node ids
 
   // Progress counters (see AsmResult).
   std::int64_t proposal_rounds_executed_ = 0;

@@ -105,6 +105,9 @@ class WomanPlayer {
   /// ProposalRound Step 2: accept every proposal from the best quantile
   /// that proposed; the accepted men form her side of G0.
   void accept_round(InboxView inbox, Network& net);
+  /// True if the last accept_round() accepted a proposal, i.e. she is in
+  /// this ProposalRound's G0.
+  bool accepted_any() const { return !accepted_.empty(); }
 
   void mm_first_round(InboxView inbox, Network& net);
   void mm_round(InboxView inbox, Network& net);

@@ -5,30 +5,25 @@
 namespace dasm::core {
 
 bool AsmEngine::run_quantile_match() {
-  for_each_man([&](NodeId m) {
-    men_[static_cast<std::size_t>(m)].begin_quantile_match();
-  });
+  for (auto& man : men_) man.begin_quantile_match();
 
   bool any_message = false;
   for (NodeId pr = 0; pr < sched_.k; ++pr) {
-    if (params_.trim_quiescent_phases) {
+    // Step 1 of the coming ProposalRound calls exactly these men.
+    proposers_.clear();
+    for (NodeId m = 0; m < inst_->n_men(); ++m) {
+      if (men_[static_cast<std::size_t>(m)].would_propose()) {
+        proposers_.push_back(m);
+      }
+    }
+    if (params_.trim_quiescent_phases && proposers_.empty()) {
       // Within one QuantileMatch the active sets only shrink and a man
       // only loses his partner when some other man's proposal displaces
       // him, so once nobody would propose the remaining ProposalRounds
       // are provably silent (Lemma 2's argument).
-      bool anyone = false;
-      for (const auto& man : men_) {
-        if (man.would_propose()) {
-          anyone = true;
-          break;
-        }
-      }
-      if (!anyone) {
-        net_.charge_scheduled_rounds(
-            static_cast<std::int64_t>(sched_.k - pr) *
-            sched_.rounds_per_proposal_round());
-        break;
-      }
+      net_.charge_scheduled_rounds(static_cast<std::int64_t>(sched_.k - pr) *
+                                   sched_.rounds_per_proposal_round());
+      break;
     }
     rec_.begin_span(obs::Phase::kProposalRound, pr, net_.stats());
     any_message |= run_proposal_round();

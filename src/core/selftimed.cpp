@@ -104,7 +104,7 @@ SelfTimedResult run_selftimed_asm(const Instance& inst,
   const Schedule sched = resolve_schedule(params, inst.n_men(), inst.n_women());
   const PhaseScript script(sched);
   const auto& bg = inst.graph();
-  Network net(bg.graph().adjacency());
+  Network net(bg.graph());
   // The global bounds AsmEngine sizes a kColorClass node by.
   const NodeId degree_bound = g0_degree_bound(inst, sched.k);
   auto make_mm = [&](NodeId node_id) {

@@ -41,9 +41,6 @@ class Graph {
   /// All edges, normalized (u < v) and sorted.
   std::vector<Edge> edges() const;
 
-  /// Adjacency lists, e.g. to construct a congest::Network.
-  const std::vector<std::vector<NodeId>>& adjacency() const { return adj_; }
-
   /// Maximum vertex degree (0 for the empty graph).
   NodeId max_degree() const;
 

@@ -101,6 +101,17 @@ void ColorClassNode::withdraw(Network& net) {
   }
 }
 
+void ColorClassNode::announce_color(std::int64_t within, Network& net) {
+  // Only a Cole–Vishkin update reads the color, and the last one runs at
+  // within == 1 + cv_iters_: a color set at or after it is never read.
+  if (within > cv_iters_) return;
+  for (NodeId w : class_nbrs_) {
+    if (neighbor_live(w)) {
+      net.send(self_, w, Message{MsgType::kColor, color_});
+    }
+  }
+}
+
 void ColorClassNode::on_round(InboxView inbox,
                               Network& net) {
   process_withdrawals(inbox);
@@ -177,11 +188,7 @@ void ColorClassNode::on_round(InboxView inbox,
         rooted_ = true;
       }
     }
-    for (NodeId w : class_nbrs_) {
-      if (neighbor_live(w)) {
-        net.send(self_, w, Message{MsgType::kColor, color_});
-      }
-    }
+    announce_color(within, net);
     return;
   }
   if (within <= 1 + cv_iters_) {
@@ -200,11 +207,7 @@ void ColorClassNode::on_round(InboxView inbox,
                      "node " << self_ << " missed its parent's color");
     }
     color_ = cv_update(color_, parent_color);
-    for (NodeId w : class_nbrs_) {
-      if (neighbor_live(w)) {
-        net.send(self_, w, Message{MsgType::kColor, color_});
-      }
-    }
+    announce_color(within, net);
     return;
   }
 

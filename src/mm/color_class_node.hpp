@@ -71,6 +71,9 @@ class ColorClassNode final : public Node {
   bool neighbor_live(NodeId v) const;
   bool any_live_neighbor() const;
   void withdraw(Network& net);
+  // Sends color_ to the live class neighbours if a later round of this
+  // class pass reads it.
+  void announce_color(std::int64_t within, Network& net);
 
   NodeId delta_;
   int cv_iters_;

@@ -1,6 +1,7 @@
 #include "mm/israeli_itai.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "util/check.hpp"
 
@@ -10,8 +11,19 @@ void IsraeliItaiNode::reset(NodeId self, bool /*is_left*/,
                             std::vector<NodeId> neighbors) {
   self_ = self;
   neighbors_ = std::move(neighbors);
-  neighbor_alive_.assign(neighbors_.size(), true);
-  alive_ = !neighbors_.empty();
+  const std::size_t degree = neighbors_.size();
+  live_words_.assign((degree + 63) / 64, ~std::uint64_t{0});
+  if (degree % 64 != 0) live_words_.back() >>= 64 - degree % 64;
+  live_count_ = degree;
+  port_index_.clear();
+  for (std::size_t p = 0; p < degree; ++p) {
+    port_index_.emplace_back(neighbors_[p], static_cast<std::uint32_t>(p));
+  }
+  // Neighbour lists usually arrive in id order, and then so does the index.
+  if (!std::is_sorted(port_index_.begin(), port_index_.end())) {
+    std::sort(port_index_.begin(), port_index_.end());
+  }
+  alive_ = degree > 0;
   partner_ = kNoNode;
   phase_ = Phase::kPick;
   picked_out_ = kNoNode;
@@ -21,25 +33,35 @@ void IsraeliItaiNode::reset(NodeId self, bool /*is_left*/,
 }
 
 void IsraeliItaiNode::mark_dead(NodeId v) {
-  for (std::size_t i = 0; i < neighbors_.size(); ++i) {
-    if (neighbors_[i] == v) neighbor_alive_[i] = false;
+  // Every port to v (a raw duplicating fault plan can list v twice).
+  for (auto it = std::lower_bound(port_index_.begin(), port_index_.end(),
+                                  std::pair<NodeId, std::uint32_t>{v, 0});
+       it != port_index_.end() && it->first == v; ++it) {
+    const std::uint32_t p = it->second;
+    std::uint64_t& word = live_words_[p / 64];
+    const std::uint64_t bit = std::uint64_t{1} << (p % 64);
+    if ((word & bit) != 0) {
+      word &= ~bit;
+      --live_count_;
+    }
   }
 }
 
-bool IsraeliItaiNode::has_live_neighbor() const {
-  return std::find(neighbor_alive_.begin(), neighbor_alive_.end(), true) !=
-         neighbor_alive_.end();
-}
-
 NodeId IsraeliItaiNode::random_live_neighbor() {
-  std::uint64_t live = 0;
-  for (bool a : neighbor_alive_) live += a ? 1 : 0;
-  DASM_DCHECK(live > 0);
-  std::uint64_t k = rng_.below(live);
-  for (std::size_t i = 0; i < neighbors_.size(); ++i) {
-    if (!neighbor_alive_[i]) continue;
-    if (k == 0) return neighbors_[i];
-    --k;
+  DASM_DCHECK(live_count_ > 0);
+  // The k-th live port in port order: skip whole words by popcount, then
+  // clear the k lowest set bits of the word that holds it.
+  std::uint64_t k = rng_.below(live_count_);
+  for (std::size_t i = 0; i < live_words_.size(); ++i) {
+    std::uint64_t word = live_words_[i];
+    const auto count = static_cast<std::uint64_t>(std::popcount(word));
+    if (k >= count) {
+      k -= count;
+      continue;
+    }
+    for (; k > 0; --k) word &= word - 1;
+    return neighbors_[i * 64 +
+                      static_cast<std::size_t>(std::countr_zero(word))];
   }
   DASM_CHECK_MSG(false, "no live neighbour");
   return kNoNode;
@@ -74,12 +96,20 @@ void IsraeliItaiNode::on_round(InboxView inbox,
     }
     case Phase::kKeep: {
       if (alive_) {
-        std::vector<NodeId> in_picks;
+        // Keep the k-th incoming pick in inbox order, k uniform.
+        std::uint64_t picks = 0;
         for (const Envelope& e : inbox) {
-          if (e.msg.type == MsgType::kMmPick) in_picks.push_back(e.from);
+          if (e.msg.type == MsgType::kMmPick) ++picks;
         }
-        if (!in_picks.empty()) {
-          kept_in_ = in_picks[rng_.below(in_picks.size())];
+        if (picks > 0) {
+          std::uint64_t k = rng_.below(picks);
+          for (const Envelope& e : inbox) {
+            if (e.msg.type != MsgType::kMmPick) continue;
+            if (k-- == 0) {
+              kept_in_ = e.from;
+              break;
+            }
+          }
           net.send(self_, kept_in_, Message{MsgType::kMmKeep});
         }
       }
@@ -93,14 +123,15 @@ void IsraeliItaiNode::on_round(InboxView inbox,
             out_was_kept_ = true;
           }
         }
-        // Incident edges of the sparse graph G' at this node.
-        std::vector<NodeId> incident;
-        if (kept_in_ != kNoNode) incident.push_back(kept_in_);
+        // Incident edges of the sparse graph G' at this node (at most 2).
+        NodeId incident[2] = {kNoNode, kNoNode};
+        std::uint64_t n_incident = 0;
+        if (kept_in_ != kNoNode) incident[n_incident++] = kept_in_;
         if (out_was_kept_ && picked_out_ != kept_in_) {
-          incident.push_back(picked_out_);
+          incident[n_incident++] = picked_out_;
         }
-        if (!incident.empty()) {
-          chosen_ = incident[rng_.below(incident.size())];
+        if (n_incident > 0) {
+          chosen_ = incident[rng_.below(n_incident)];
           net.send(self_, chosen_, Message{MsgType::kMmChoose});
         }
       }
@@ -119,7 +150,7 @@ void IsraeliItaiNode::on_round(InboxView inbox,
           partner_ = chosen_;
           alive_ = false;
           for (std::size_t i = 0; i < neighbors_.size(); ++i) {
-            if (neighbor_alive_[i] && neighbors_[i] != partner_) {
+            if (port_live(i) && neighbors_[i] != partner_) {
               net.send(self_, neighbors_[i], Message{MsgType::kMmMatched});
             }
           }

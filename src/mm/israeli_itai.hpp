@@ -17,6 +17,10 @@
 // probability at least 1 - eta (Corollary 1).
 #pragma once
 
+#include <cstdint>
+#include <utility>
+#include <vector>
+
 #include "mm/node.hpp"
 
 namespace dasm::mm {
@@ -37,7 +41,10 @@ class IsraeliItaiNode final : public Node {
 
   void process_withdrawals(InboxView inbox);
   void mark_dead(NodeId v);
-  bool has_live_neighbor() const;
+  bool has_live_neighbor() const { return live_count_ > 0; }
+  bool port_live(std::size_t port) const {
+    return (live_words_[port / 64] >> (port % 64)) & 1;
+  }
   NodeId random_live_neighbor();
 
   Xoshiro256 rng_;
@@ -46,8 +53,14 @@ class IsraeliItaiNode final : public Node {
   bool alive_ = false;
   NodeId partner_ = kNoNode;
 
-  std::vector<NodeId> neighbors_;       // live neighbour ids (unsorted ok)
-  std::vector<bool> neighbor_alive_;    // parallel to neighbors_
+  // Ports are positions in neighbors_ (the reset order, which fixes which
+  // neighbour the k-th live port is). A withdrawal finds its ports by
+  // binary search in port_index_ and clears their bits, so it costs
+  // O(log deg); the live count answers "any left?".
+  std::vector<NodeId> neighbors_;
+  std::vector<std::uint64_t> live_words_;  // bit p set = port p live
+  std::size_t live_count_ = 0;
+  std::vector<std::pair<NodeId, std::uint32_t>> port_index_;  // (id, port)
 
   NodeId picked_out_ = kNoNode;  // step-1 outgoing pick
   NodeId kept_in_ = kNoNode;     // step-2 kept incoming edge source

@@ -3,10 +3,20 @@
 //
 // A protocol execution is a lockstep sequence of communication rounds over
 // a (sub)graph: each node is reset with its live neighbour set, then
-// on_round() is invoked once per round for every node. The same node
-// objects are used standalone (mm/runner) and embedded inside Step 3 of
-// ProposalRound, where the graph is the accepted-proposal graph G0 of the
-// current round.
+// on_round() is invoked once per round for every node that is not yet
+// quiescent. The same node objects are used standalone (mm/runner) and
+// embedded inside Step 3 of ProposalRound, where the graph is the
+// accepted-proposal graph G0 of the current round.
+//
+// The quiescence contract, which lets the ASM engine and the standalone
+// runner skip quiescent nodes without changing a single send: once
+// quiescent() is true (until the next reset()), on_round() sends nothing,
+// draws no randomness, and partner() no longer changes, whatever the inbox
+// holds. Both check quiescence at iteration boundaries and keep stepping a
+// node for the rest of the iteration in which it became quiescent;
+// core/selftimed still steps every node every round and is the oracle the
+// skipping is tested against (tests/test_selftimed.cpp, which also pins
+// the contract).
 #pragma once
 
 #include <memory>
@@ -39,7 +49,8 @@ class Node {
   virtual NodeId partner() const = 0;
 
   /// True when this node has permanently left the residual graph (it is
-  /// matched or isolated) and will send no further messages.
+  /// matched or isolated): from now until reset(), on_round() sends
+  /// nothing, draws no randomness and leaves partner() unchanged.
   virtual bool quiescent() const = 0;
 
   /// Communication rounds per protocol iteration (e.g. 4 for one

@@ -62,7 +62,7 @@ RunResult run_maximal_matching(const Graph& g,
   DASM_CHECK_MSG(config.threads == 1,
                  "RunConfig::threads must be 1 (a run is serial), got "
                      << config.threads);
-  Network net(g.adjacency());
+  Network net(g);
   if (config.trace_events > 0) net.enable_trace(config.trace_events);
   if (config.fault_plan.active()) net.set_fault_plan(config.fault_plan);
   if (config.retransmit_after > 0) {
@@ -90,31 +90,36 @@ RunResult run_maximal_matching(const Graph& g,
   const int rounds_per_iter =
       n > 0 ? nodes[0]->rounds_per_iteration() : 1;
 
-  auto all_quiescent = [&]() {
-    for (const auto& node : nodes) {
-      if (!node->quiescent()) return false;
-    }
-    return true;
-  };
+  // The non-quiescent nodes in ascending id order, the only ones stepped:
+  // a quiescent node sends nothing, draws nothing and keeps its partner
+  // (mm/node.hpp), so skipping it leaves every send and inbox as stepping
+  // all n nodes would. Quiescent nodes leave at iteration boundaries.
+  std::vector<NodeId> live;
+  for (NodeId v = 0; v < n; ++v) {
+    if (!nodes[static_cast<std::size_t>(v)]->quiescent()) live.push_back(v);
+  }
 
   int iter = 0;
   rec.begin_span(obs::Phase::kRun, 0, net.stats());
   while (true) {
-    if (config.stop_on_quiescence && all_quiescent()) break;
+    if (config.stop_on_quiescence && live.empty()) break;
     if (config.max_iterations > 0 && iter >= config.max_iterations) break;
-    if (config.max_iterations == 0 && all_quiescent()) break;
+    if (config.max_iterations == 0 && live.empty()) break;
     rec.begin_span(obs::Phase::kMmIteration, iter, net.stats());
     for (int r = 0; r < rounds_per_iter; ++r) {
       net.begin_round();
-      for (NodeId v = 0; v < n; ++v) {
+      for (const NodeId v : live) {
         nodes[static_cast<std::size_t>(v)]->on_round(net.inbox(v), net);
       }
       net.end_round();
     }
-    std::int64_t live = 0;
-    for (const auto& node : nodes) live += node->quiescent() ? 0 : 1;
-    result.live_after_iteration.push_back(live);
-    rec.counter(obs::Counter::kMmLiveNodes, net.stats().executed_rounds, live);
+    std::erase_if(live, [&](NodeId v) {
+      return nodes[static_cast<std::size_t>(v)]->quiescent();
+    });
+    const auto live_count = static_cast<std::int64_t>(live.size());
+    result.live_after_iteration.push_back(live_count);
+    rec.counter(obs::Counter::kMmLiveNodes, net.stats().executed_rounds,
+                live_count);
     rec.end_span(obs::Phase::kMmIteration, iter, net.stats());
     ++iter;
   }

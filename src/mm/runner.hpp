@@ -1,5 +1,6 @@
 // Standalone driver for the distributed maximal-matching protocols: builds
-// a CONGEST network over a graph, steps all protocol nodes in lockstep, and
+// a CONGEST network over a graph, steps the live (non-quiescent) protocol
+// nodes in lockstep, and
 // extracts the matching plus the traffic/convergence statistics that the
 // Appendix-A experiments (E5, E6) report.
 #pragma once

@@ -467,13 +467,11 @@ void Server::drain_and_flush() {
       if (it != conns_.end()) flush_ready(*it->second);
     }
   }
-  for (auto& [id, conn] : conns_) {
-    if (conn->fd >= 0) {
-      ::close(conn->fd);
-      conn->fd = -1;
-    }
-  }
+  // Every connection still open is closed here and counted in net.closed
+  // like any other close.
+  for (const auto& [id, conn] : conns_) close_connection(id);
   conns_.clear();
+  doomed_.clear();
   routes_.clear();
   m_connections_.set(0);
 }

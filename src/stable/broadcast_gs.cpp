@@ -27,7 +27,7 @@ BroadcastGsResult broadcast_gale_shapley(const Instance& inst) {
                  "broadcast GS needs balanced sides");
   const NodeId n = inst.n_men();
   const auto& bg = inst.graph();
-  Network net(bg.graph().adjacency());
+  Network net(bg.graph());
 
   // Audited processors: man 0 and woman n-1 reconstruct the instance from
   // the wire; everyone else only counts.

@@ -9,7 +9,7 @@ namespace dasm {
 DistributedGsResult distributed_gale_shapley(const Instance& inst,
                                              std::int64_t max_sweeps) {
   const auto& bg = inst.graph();
-  Network net(bg.graph().adjacency());
+  Network net(bg.graph());
 
   const NodeId nm = inst.n_men();
   const NodeId nw = inst.n_women();

@@ -25,13 +25,17 @@
 namespace dasm {
 namespace {
 
-std::vector<std::vector<NodeId>> triangle() {
-  return {{1, 2}, {0, 2}, {0, 1}};
+// Networks borrow their Graph, so the shared topologies live as long as
+// the test binary.
+const Graph& triangle() {
+  static const Graph g(3, {{0, 1}, {0, 2}, {1, 2}});
+  return g;
 }
 
 // Star: leaves 1..4 around center 0.
-std::vector<std::vector<NodeId>> star5() {
-  return {{1, 2, 3, 4}, {0}, {0}, {0}, {0}};
+const Graph& star5() {
+  static const Graph g(5, {{0, 1}, {0, 2}, {0, 3}, {0, 4}});
+  return g;
 }
 
 std::int64_t conservation_gap(const Network& net) {

@@ -500,6 +500,19 @@ TEST(ServeConformance, IdleConnectionsAreClosed) {
   EXPECT_EQ(scrape(ts.port()).values.at("dasm_net_closed"), 1.0);
 }
 
+TEST(ServeConformance, DrainedConnectionsCountAsClosed) {
+  TestServer ts;
+  ts.start();
+  Client client(ts.port());
+  client.send_all("dasm-requests 1\n");
+  ASSERT_EQ(client.must_read_line(), "dasm-responses 1");
+  ts.stop();  // the connection is still open: the graceful drain closes it
+  EXPECT_TRUE(client.at_eof());
+  const obs::MetricsSnapshot snap = ts.metrics.snapshot();
+  EXPECT_EQ(snap.counter("net.accepted"), 1);
+  EXPECT_EQ(snap.counter("net.closed"), snap.counter("net.accepted"));
+}
+
 // ---------------------------------------------------------------------------
 // Malformed input over the framed TCP path
 

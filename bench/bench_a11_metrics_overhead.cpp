@@ -145,7 +145,7 @@ int bench_main(int argc, const char* const* argv) {
         DASM_CHECK(h.count == 25);
       }
     }
-    DASM_CHECK(found || !obs::MetricsRegistry::enabled());
+    DASM_CHECK(found);
   }
   bench::print_verdict(true,
                        "network: NetStats and inbox checksums bit-identical "
@@ -215,8 +215,6 @@ int bench_main(int argc, const char* const* argv) {
     std::ofstream js(json_out);
     DASM_CHECK_MSG(js.good(), "cannot open " << json_out);
     js << "{\n  \"bench\": \"a11_metrics_overhead\",\n  \"n\": " << n
-       << ",\n  \"obs_enabled\": "
-       << (obs::MetricsRegistry::enabled() ? "true" : "false")
        << ",\n  \"rows\": [\n";
     for (std::size_t i = 0; i < rows.size(); ++i) {
       const Row& r = rows[i];

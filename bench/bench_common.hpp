@@ -112,8 +112,7 @@ inline void export_asm_trace(const std::string& path, const Instance& inst,
 
 /// Writes `registry`'s snapshot to `path` (".prom" = Prometheus text
 /// exposition, else JSONL) and prints a one-line confirmation, mirroring
-/// export_asm_trace(). No-op under DASM_OBS_DISABLED beyond the empty
-/// snapshot.
+/// export_asm_trace().
 inline void write_metrics_snapshot(const std::string& path,
                                    const obs::MetricsRegistry& registry) {
   const obs::MetricsSnapshot snap = registry.snapshot();

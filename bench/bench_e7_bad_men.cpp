@@ -7,6 +7,7 @@
 
 #include "bench_common.hpp"
 #include "core/engine.hpp"
+#include "obs/trace.hpp"
 #include "util/stats.hpp"
 
 int main() {
@@ -35,19 +36,21 @@ int main() {
       for (int s = 1; s <= seeds; ++s) {
         const Instance inst =
             bench::make_family(family, n, static_cast<std::uint64_t>(s));
+        obs::MemorySink sink;
         core::AsmParams params;
         params.epsilon = 0.25;
         params.k = k_override;
-        params.record_trace = true;
+        params.obs_sink = &sink;
         params.outer_iterations = 1;  // isolate the inner loop
-        const auto r = core::run_asm(inst, params);
-        k = r.schedule.k;
-        if (frac_at.size() < r.trace.size()) frac_at.resize(r.trace.size());
-        for (std::size_t i = 0; i < r.trace.size(); ++i) {
-          const auto& snap = r.trace[i];
-          if (snap.active_men > 0) {
-            frac_at[i].add(static_cast<double>(snap.bad_active_men) /
-                           static_cast<double>(snap.active_men));
+        k = core::run_asm(inst, params).schedule.k;
+        const auto rows = obs::convergence_rows(sink);
+        if (frac_at.size() < rows.size()) frac_at.resize(rows.size());
+        for (std::size_t i = 0; i < rows.size(); ++i) {
+          const std::int64_t active = rows[i].value(obs::Counter::kActiveMen);
+          const std::int64_t bad = rows[i].value(obs::Counter::kBadActiveMen);
+          if (active > 0) {
+            frac_at[i].add(static_cast<double>(bad) /
+                           static_cast<double>(active));
           }
         }
       }

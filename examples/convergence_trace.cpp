@@ -8,6 +8,7 @@
 
 #include "core/engine.hpp"
 #include "gen/generators.hpp"
+#include "obs/trace.hpp"
 #include "stable/blocking.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
@@ -28,10 +29,12 @@ int main(int argc, char** argv) {
     return gen::complete_uniform(n, seed);
   }();
 
+  obs::MemorySink sink;
   core::AsmParams params;
   params.epsilon = eps;
-  params.record_trace = true;
+  params.obs_sink = &sink;
   const auto r = core::run_asm(inst, params);
+  const auto rows = obs::convergence_rows(sink);
 
   std::cout << "family=" << family << " n=" << n << " eps=" << eps
             << " k=" << r.schedule.k << " (outer x inner = "
@@ -41,20 +44,22 @@ int main(int argc, char** argv) {
                "matched"});
   // Print a geometric subsample so long traces stay readable.
   std::size_t next = 1;
-  for (std::size_t i = 0; i < r.trace.size(); ++i) {
-    const bool last = i + 1 == r.trace.size();
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const bool last = i + 1 == rows.size();
     if (i + 1 != next && !last) continue;
     next = next * 2;
-    const auto& s = r.trace[i];
+    const obs::ConvergenceRow& row = rows[i];
+    const std::int64_t active = row.value(obs::Counter::kActiveMen);
+    const std::int64_t bad = row.value(obs::Counter::kBadActiveMen);
+    // QM# counts QuantileMatch calls from 1; span indices count from 0.
     table.add_row(
-        {Table::num(s.outer_iteration), Table::num(s.inner_iteration),
-         Table::num(s.active_men), Table::num(s.bad_active_men),
-         Table::num(s.active_men > 0
-                        ? static_cast<double>(s.bad_active_men) /
-                              static_cast<double>(s.active_men)
-                        : 0.0,
+        {Table::num(row.outer), Table::num(row.inner + 1), Table::num(active),
+         Table::num(bad),
+         Table::num(active > 0 ? static_cast<double>(bad) /
+                                     static_cast<double>(active)
+                               : 0.0,
                     4),
-         Table::num(s.matched_pairs)});
+         Table::num(row.value(obs::Counter::kMatchedPairs))});
   }
   table.print(std::cout);
 

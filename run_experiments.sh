@@ -122,7 +122,8 @@ for line in open(sys.argv[1]):
   # Serve smoke (ISSUE 10): a live `dasm serve` on an ephemeral port must
   # serve a loopback client (protocol conversation + per-connection
   # response numbering), answer two /metrics scrapes with monotonic
-  # counters, survive a garbage line with a diagnostic ERR, and exit 0 on
+  # counters, answer a garbage line and a raw-loss request (drop without
+  # retransmit-after) with a diagnostic ERR each, and exit 0 on
   # SIGTERM after a graceful drain that flushes its final snapshot.
   if command -v python3 >/dev/null 2>&1; then
     build/tools/dasm serve --port 0 --port-file "$smoke/port" \

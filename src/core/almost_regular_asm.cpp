@@ -28,7 +28,6 @@ AsmParams to_asm_params(const Instance& inst,
   p.gate_by_degree = false;
   p.outer_iterations = 1;
   p.drop_unsatisfied_men = true;
-  p.record_trace = params.record_trace;
   p.trim_quiescent_phases = params.trim_quiescent_phases;
   // Lemma 6 with delta' = eps / (4 alpha): after l = 2 delta'^-1 k
   // QuantileMatch calls at most an eps/(4 alpha) fraction of men is bad.

@@ -24,7 +24,6 @@ struct AlmostRegularAsmParams {
   double alpha = 0.0;
   /// Assumed Lemma-8 survival factor (see bench E5).
   double decay = 0.75;
-  bool record_trace = false;
   bool trim_quiescent_phases = true;
 };
 

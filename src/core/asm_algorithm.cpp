@@ -43,6 +43,9 @@ AsmEngine::AsmEngine(const Instance& inst, const AsmParams& params)
   DASM_CHECK_MSG(params.threads == 1,
                  "AsmParams::threads must be 1 (a run is serial), got "
                      << params.threads);
+  DASM_CHECK_MSG(!params.fault_plan.active() || params.retransmit_after >= 1,
+                 "an active fault plan needs retransmit_after >= 1: raw "
+                 "loss breaks the protocol's invariants");
   if (params.net_trace_events > 0) net_.enable_trace(params.net_trace_events);
   if (params.fault_plan.active()) net_.set_fault_plan(params.fault_plan);
   if (params.retransmit_after > 0) {
@@ -53,7 +56,7 @@ AsmEngine::AsmEngine(const Instance& inst, const AsmParams& params)
     net_.set_round_hook(
         [this](const NetStats& stats) { rec_.on_round(stats); });
   }
-  if (params.metrics != nullptr && obs::MetricsRegistry::enabled()) {
+  if (params.metrics != nullptr) {
     m_runs_ = params.metrics->counter("engine.runs");
     m_outer_iters_ = params.metrics->counter("engine.outer_iters");
     m_inner_iters_ = params.metrics->counter("engine.inner_iters");
@@ -93,22 +96,6 @@ bool AsmEngine::globally_quiescent() const {
   return true;
 }
 
-void AsmEngine::record_snapshot(int outer_iteration) {
-  InnerSnapshot snap;
-  snap.outer_iteration = outer_iteration;
-  snap.inner_iteration = inner_iteration_counter_;
-  std::int64_t matched = 0;
-  for (const auto& man : men_) {
-    if (man.partner() != kNoNode) ++matched;
-    if (man.would_propose()) ++snap.men_with_live_targets;
-    if (!man.active() || man.dropped()) continue;
-    ++snap.active_men;
-    if (!man.good()) ++snap.bad_active_men;
-  }
-  snap.matched_pairs = matched;
-  trace_.push_back(snap);
-}
-
 AsmResult AsmEngine::run() {
   m_runs_.inc();
   rec_.begin_span(obs::Phase::kRun, 0, net_.stats());
@@ -134,7 +121,6 @@ AsmResult AsmEngine::run() {
       m_inner_iters_.inc();
       m_inner_rounds_.observe(net_.stats().executed_rounds - rounds_before);
       ++inner_iteration_counter_;
-      if (params_.record_trace) record_snapshot(i);
       emit_inner_counters();
       rec_.end_span(obs::Phase::kInner, inner_index, net_.stats());
       if (round_budget_exhausted()) return build_result();
@@ -211,7 +197,6 @@ AsmResult AsmEngine::build_result() {
   result.quantile_matches_executed = quantile_matches_executed_;
   result.mm_rounds_executed = mm_rounds_executed_;
   result.mm_iterations_peak = mm_iterations_peak_;
-  result.trace = std::move(trace_);
   if (params_.net_trace_events > 0) result.net_trace = net_.trace();
 
   result.matching = current_matching();

@@ -43,8 +43,6 @@ class AsmEngine {
   // True once the AsmParams::max_rounds cap has been reached.
   bool round_budget_exhausted() const;
 
-  void record_snapshot(int outer_iteration);
-
   /// Emits the per-inner-iteration obs counters (active/bad/matched/live
   /// men, plus blocking-pair counts when AsmParams::obs_blocking_pairs);
   /// no-op when no obs sink is attached.
@@ -80,7 +78,6 @@ class AsmEngine {
   std::int64_t mm_rounds_executed_ = 0;
   int mm_iterations_peak_ = 0;
   std::int64_t inner_iteration_counter_ = 0;
-  std::vector<InnerSnapshot> trace_;
   obs::Recorder rec_;  // null-sink recorder unless AsmParams::obs_sink set
 
   // Wall-clock metrics handles (inactive unless AsmParams::metrics set).

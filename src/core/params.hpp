@@ -73,9 +73,6 @@ struct AsmParams {
   /// this off executes the complete paper schedule round by round.
   bool trim_quiescent_phases = true;
 
-  /// Record a per-inner-iteration snapshot trace (experiment E7).
-  bool record_trace = false;
-
   /// Stop cleanly (at a ProposalRound boundary) once this many
   /// communication rounds have executed; 0 means no cap. Used by the
   /// quality-versus-round-budget experiments (E9, E10) — the anytime
@@ -115,16 +112,18 @@ struct AsmParams {
   /// Fault injection (DESIGN.md §8): when active, the engine installs the
   /// plan on its Network before round 0, so messages can be dropped,
   /// duplicated, or delayed. Determinism is preserved — same plan (seed
-  /// included) ⇒ bit-identical results and traces. Without the
-  /// reliability sublayer below, losses reach the protocol and the
-  /// paper's guarantees no longer apply.
+  /// included) ⇒ bit-identical results and traces. An active plan needs
+  /// the reliability sublayer below (retransmit_after >= 1), else the
+  /// engine throws CheckError before round 0: raw loss breaks the
+  /// protocol's invariants and aborts the run.
   FaultPlan fault_plan;
 
   /// Reliability sublayer (Network::set_reliable_transport): with a value
   /// k > 0, every send is acked and retransmitted every k wire rounds
   /// until delivered, so a lossy network costs extra executed rounds, not
   /// correctness — the run's matching is identical to the fault-free one
-  /// (absent crashes). 0 sends raw over whatever fault_plan describes.
+  /// (absent crashes). 0 turns the sublayer off, which an active
+  /// fault_plan does not allow.
   int retransmit_after = 0;
 
   /// Attempt cap per payload under the reliability sublayer.

@@ -14,7 +14,6 @@ AsmParams to_asm_params(const RandAsmParams& params) {
   p.epsilon = params.epsilon;
   p.mm_backend = mm::Backend::kIsraeliItai;
   p.seed = params.seed;
-  p.record_trace = params.record_trace;
   p.trim_quiescent_phases = params.trim_quiescent_phases;
   p.threads = params.threads;
   p.net_trace_events = params.net_trace_events;

@@ -21,7 +21,6 @@ struct RandAsmParams {
   /// Assumed per-iteration survival factor c of Lemma 8 (measured by
   /// bench E5; the default is conservative).
   double decay = 0.75;
-  bool record_trace = false;
   bool trim_quiescent_phases = true;
   /// Must stay 1; any other value is a CheckError (see
   /// AsmParams::threads). The field remains only because

@@ -11,21 +11,6 @@
 
 namespace dasm::core {
 
-/// Per-inner-iteration snapshot recorded when AsmParams::record_trace is
-/// set; drives experiment E7 (Lemma 6).
-struct InnerSnapshot {
-  int outer_iteration = 0;
-  std::int64_t inner_iteration = 0;  ///< global QuantileMatch index
-  std::int64_t active_men = 0;       ///< men with |Q| >= 2^i this iteration
-  std::int64_t bad_active_men = 0;   ///< active men unmatched with Q != {}
-  std::int64_t matched_pairs = 0;
-  /// Men whose active set A is still nonempty while unmatched — Lemma 2
-  /// guarantees this is 0 after every completed QuantileMatch.
-  std::int64_t men_with_live_targets = 0;
-
-  friend bool operator==(const InnerSnapshot&, const InnerSnapshot&) = default;
-};
-
 struct AsmResult {
   Matching matching{0};
   Schedule schedule;
@@ -53,8 +38,6 @@ struct AsmResult {
 
   std::int64_t good_count = 0;
   std::int64_t bad_count = 0;
-
-  std::vector<InnerSnapshot> trace;
 
   /// The network's transmission ring (oldest first), captured when
   /// AsmParams::net_trace_events > 0 — the witness the parallel/serial

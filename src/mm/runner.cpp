@@ -62,6 +62,11 @@ RunResult run_maximal_matching(const Graph& g,
   DASM_CHECK_MSG(config.threads == 1,
                  "RunConfig::threads must be 1 (a run is serial), got "
                      << config.threads);
+  DASM_CHECK_MSG(!config.fault_plan.active() || config.retransmit_after >= 1 ||
+                     config.max_iterations >= 1,
+                 "an active fault plan needs retransmit_after >= 1 or "
+                 "max_iterations >= 1: under raw loss the protocol may "
+                 "never quiesce");
   Network net(g);
   if (config.trace_events > 0) net.enable_trace(config.trace_events);
   if (config.fault_plan.active()) net.set_fault_plan(config.fault_plan);

@@ -43,7 +43,10 @@ struct RunConfig {
   obs::TraceSink* obs_sink = nullptr;
   /// Fault injection + reliability sublayer (DESIGN.md §8), applied to
   /// the runner's Network before round 0 — see AsmParams::fault_plan and
-  /// AsmParams::retransmit_after for semantics.
+  /// AsmParams::retransmit_after for semantics. Unlike ASM, a run may take
+  /// raw loss (retransmit_after == 0), but only with max_iterations >= 1:
+  /// a lost handshake can keep nodes live forever, so an active plan
+  /// with neither is a CheckError.
   FaultPlan fault_plan;
   int retransmit_after = 0;
   int max_retransmits = 64;

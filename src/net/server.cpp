@@ -49,7 +49,7 @@ Server::Server(ServeConfig config)
     : config_(std::move(config)), service_(patched_svc(config_)) {
   DASM_CHECK_MSG(config_.batch_max_requests >= 1,
                  "batch_max_requests must be >= 1");
-  if (config_.metrics != nullptr && obs::MetricsRegistry::enabled()) {
+  if (config_.metrics != nullptr) {
     obs::MetricsRegistry& reg = *config_.metrics;
     m_accepted_ = reg.counter("net.accepted");
     m_closed_ = reg.counter("net.closed");

@@ -66,8 +66,6 @@ void HistogramSnapshot::merge(const HistogramSnapshot& other) {
 // ---------------------------------------------------------------------------
 // Registry snapshot (recording side is header-inline).
 
-#ifndef DASM_OBS_DISABLED
-
 int MetricsRegistry::register_metric(std::string_view name, Kind kind) {
   DASM_CHECK_MSG(!name.empty(), "metric name must not be empty");
   for (const Metric& m : metrics_) {
@@ -136,8 +134,6 @@ MetricsSnapshot MetricsRegistry::snapshot(bool include_wall_clock) const {
   std::sort(snap.histograms.begin(), snap.histograms.end(), by_name);
   return snap;
 }
-
-#endif  // !DASM_OBS_DISABLED
 
 // ---------------------------------------------------------------------------
 // Prometheus text exposition.

@@ -27,11 +27,10 @@
 // prefix, which snapshot(/*include_wall_clock=*/false) excludes — that
 // filtered snapshot is what the determinism tests byte-compare.
 //
-// Cost contract: an inactive handle (default-constructed, or any handle
-// under DASM_OBS_DISABLED) makes every recording call a null check and
-// every ScopedTimer a no-op that never reads the clock. Recording into an
-// active handle is a few arithmetic ops on preallocated storage — no
-// allocation, no locks.
+// Cost contract: an inactive (default-constructed) handle makes every
+// recording call a null check and every ScopedTimer a no-op that never
+// reads the clock. Recording into an active handle is a few arithmetic
+// ops on preallocated storage — no allocation, no locks.
 //
 // Snapshots export as Prometheus text exposition (scrapable once the
 // ROADMAP's TCP front end exists) or as a JSONL form that
@@ -94,8 +93,8 @@ struct HistogramLayout {
 };
 
 // ---------------------------------------------------------------------------
-// Snapshots — plain data, always compiled (the exporters, the loader, and
-// dasm-trace operate on snapshots even when recording is compiled out).
+// Snapshots — plain data (the exporters, the loader, and dasm-trace
+// operate on them).
 
 /// Overflow-free int64 sum: histogram sums saturate at the int64
 /// extremes instead of wrapping, so a histogram fed INT64_MAX-scale
@@ -169,7 +168,7 @@ inline bool is_wall_clock_metric(std::string_view name) {
 }
 
 // ---------------------------------------------------------------------------
-// Serialization and comparison (obs/metrics.cpp; always compiled).
+// Serialization and comparison (obs/metrics.cpp).
 
 /// Prometheus text exposition: names are prefixed "dasm_" with '.' (and
 /// any other non [a-zA-Z0-9_]) mapped to '_'; histograms emit cumulative
@@ -221,49 +220,6 @@ std::vector<MetricDelta> diff_snapshots(const MetricsSnapshot& base,
 
 // ---------------------------------------------------------------------------
 // The registry and its handles.
-
-#ifdef DASM_OBS_DISABLED
-
-/// Compile-out variant: handles are inert, the registry registers nothing
-/// and snapshots empty, and ScopedTimer never reads the clock — every
-/// instrumentation site reduces to nothing.
-class MetricsRegistry;
-
-class CounterHandle {
- public:
-  static constexpr bool active() { return false; }
-  void inc(std::int64_t = 1) const {}
-};
-
-class GaugeHandle {
- public:
-  static constexpr bool active() { return false; }
-  void set(std::int64_t) const {}
-};
-
-class HistogramHandle {
- public:
-  static constexpr bool active() { return false; }
-  void observe(std::int64_t) const {}
-};
-
-class MetricsRegistry {
- public:
-  static constexpr bool enabled() { return false; }
-  CounterHandle counter(std::string_view) { return {}; }
-  GaugeHandle gauge(std::string_view) { return {}; }
-  HistogramHandle histogram(std::string_view) { return {}; }
-  MetricsSnapshot snapshot(bool = true) const { return {}; }
-};
-
-class ScopedTimer {
- public:
-  explicit ScopedTimer(HistogramHandle) {}
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-};
-
-#else
 
 class MetricsRegistry;
 
@@ -321,8 +277,6 @@ class MetricsRegistry {
 
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
-
-  static constexpr bool enabled() { return true; }
 
   CounterHandle counter(std::string_view name) {
     return CounterHandle(this, register_metric(name, Kind::kCounter));
@@ -419,7 +373,5 @@ class ScopedTimer {
   HistogramHandle handle_;
   std::chrono::steady_clock::time_point start_{};
 };
-
-#endif  // DASM_OBS_DISABLED
 
 }  // namespace dasm::obs

@@ -50,4 +50,27 @@ const char* to_string(Counter counter) {
   return "unknown";
 }
 
+std::vector<ConvergenceRow> convergence_rows(const MemorySink& sink) {
+  std::vector<ConvergenceRow> rows;
+  ConvergenceRow latest;
+  for (const Event& e : sink.events) {
+    switch (e.kind) {
+      case Event::Kind::kCounter:
+        latest.counters[static_cast<std::size_t>(e.counter)] = e.value;
+        break;
+      case Event::Kind::kBegin:
+        if (e.phase == Phase::kOuter) latest.outer = e.index;
+        break;
+      case Event::Kind::kEnd:
+        if (e.phase == Phase::kInner) {
+          latest.inner = e.index;
+          latest.round = e.round;
+          rows.push_back(latest);
+        }
+        break;
+    }
+  }
+  return rows;
+}
+
 }  // namespace dasm::obs

@@ -20,14 +20,13 @@
 // a wall clock.
 //
 // Cost contract: with no sink attached every recording call is a null
-// check; compiling with DASM_OBS_DISABLED replaces the Recorder with
-// empty inline stubs so the hooks vanish entirely. Measured on bench_a6:
-// the instrumented engine is within noise of the pre-obs binary
-// (EXPERIMENTS.md §A6).
+// check. Measured on bench_a6: the instrumented engine is within noise of
+// the pre-obs binary (EXPERIMENTS.md §A6).
 #pragma once
 
 #include <array>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "congest/network.hpp"
@@ -118,15 +117,6 @@ class TraceSink {
   virtual void on_round_sample(const RoundSample& sample) = 0;
 };
 
-/// Runtime null sink: accepts the full event stream and discards it.
-/// Attach it to keep the recording plumbing live (e.g. for overhead
-/// measurements) without retaining anything.
-class NullSink final : public TraceSink {
- public:
-  void on_event(const Event&) override {}
-  void on_round_sample(const RoundSample&) override {}
-};
-
 /// In-memory sink: retains everything, in emission order. The exporters
 /// (obs/export.hpp) and the determinism tests consume this.
 class MemorySink final : public TraceSink {
@@ -144,24 +134,31 @@ class MemorySink final : public TraceSink {
   std::vector<RoundSample> rounds;
 };
 
-#ifdef DASM_OBS_DISABLED
+/// One inner iteration of an ASM run, read back from its trace: the
+/// enclosing kOuter span's index, the kInner span's index and closing
+/// round, and the latest value of every counter when that span closed.
+/// The engine samples its convergence counters just before it closes each
+/// kInner span, so a row holds that iteration's values — the series
+/// Lemma 6 (experiment E7) reasons about.
+struct ConvergenceRow {
+  std::int64_t outer = -1;
+  std::int64_t inner = 0;
+  std::int64_t round = 0;
+  std::array<std::optional<std::int64_t>, kCounterCount> counters{};
 
-/// Compile-out variant: every method is an empty inline stub, so engine
-/// instrumentation sites cost nothing and the Network round hook is never
-/// installed (enabled() is constexpr false).
-class Recorder {
- public:
-  explicit Recorder(TraceSink* = nullptr) {}
-  static constexpr bool enabled() { return false; }
-  void begin_span(Phase, std::int64_t, const NetStats&) {}
-  void end_span(Phase, std::int64_t, const NetStats&) {}
-  void counter(Counter, std::int64_t, std::int64_t) {}
-  void on_round(const NetStats&) {}
-  void finish(const NetStats&) {}
-  static constexpr std::int64_t events_committed() { return 0; }
+  /// The sampled value of `counter`; a CheckError when the run never
+  /// sampled it (blocking pairs need AsmParams::obs_blocking_pairs).
+  std::int64_t value(Counter counter) const {
+    const auto& v = counters[static_cast<std::size_t>(counter)];
+    DASM_CHECK_MSG(v.has_value(),
+                   "counter " << to_string(counter) << " was not sampled");
+    return *v;
+  }
 };
 
-#else
+/// One row per closed kInner span, in emission order; empty for traces
+/// without inner iterations (MM-runner and service traces).
+std::vector<ConvergenceRow> convergence_rows(const MemorySink& sink);
 
 /// The recording front end the engines drive. Every event goes straight to
 /// the sink; on_round() — invoked from the Network's end_round hook —
@@ -250,7 +247,5 @@ class Recorder {
   NetStats last_;               // cumulative stats at the previous sample
   std::int64_t committed_ = 0;
 };
-
-#endif  // DASM_OBS_DISABLED
 
 }  // namespace dasm::obs

@@ -1,51 +1,22 @@
 #include "svc/instance_store.hpp"
 
-#include <functional>
-
 #include "util/check.hpp"
 
 namespace dasm::svc {
-
-InstanceStore::InstanceStore(int shards) {
-  DASM_CHECK_MSG(shards >= 1, "instance store needs >= 1 shard");
-  shards_.reserve(static_cast<std::size_t>(shards));
-  for (int i = 0; i < shards; ++i) {
-    shards_.push_back(std::make_unique<Shard>());
-  }
-}
-
-InstanceStore::Shard& InstanceStore::shard_for(const std::string& name) const {
-  const std::size_t h = std::hash<std::string>{}(name);
-  return *shards_[h % shards_.size()];
-}
 
 const StoredInstance& InstanceStore::add(std::string name, Instance inst) {
   const std::uint64_t digest = digest_instance(inst);
   auto entry =
       std::make_unique<StoredInstance>(name, std::move(inst), digest);
-  Shard& shard = shard_for(name);
-  const std::lock_guard<std::mutex> lock(shard.mu);
-  const auto [it, inserted] = shard.map.emplace(std::move(name),
-                                                std::move(entry));
+  const auto [it, inserted] = map_.emplace(std::move(name), std::move(entry));
   DASM_CHECK_MSG(inserted,
                  "instance '" << it->first << "' is already registered");
   return *it->second;
 }
 
 const StoredInstance* InstanceStore::find(const std::string& name) const {
-  const Shard& shard = shard_for(name);
-  const std::lock_guard<std::mutex> lock(shard.mu);
-  const auto it = shard.map.find(name);
-  return it == shard.map.end() ? nullptr : it->second.get();
-}
-
-std::int64_t InstanceStore::size() const {
-  std::int64_t total = 0;
-  for (const auto& shard : shards_) {
-    const std::lock_guard<std::mutex> lock(shard->mu);
-    total += static_cast<std::int64_t>(shard->map.size());
-  }
-  return total;
+  const auto it = map_.find(name);
+  return it == map_.end() ? nullptr : it->second.get();
 }
 
 }  // namespace dasm::svc

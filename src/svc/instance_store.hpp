@@ -1,20 +1,17 @@
-// Sharded instance registry of the matching service (DESIGN.md §9):
-// register an instance once, serve matching requests against it many
-// times.
+// Instance registry of the matching service (DESIGN.md §9): register an
+// instance once, serve matching requests against it many times.
 //
 // Entries are heap-allocated and never removed, so the pointer a lookup
-// returns stays valid for the store's lifetime — batch planning resolves
-// each request to a `const StoredInstance*` exactly once, and executing
-// cells only ever read through those pointers. Shards are locked
-// individually (name-hash partitioning), so concurrent registrations and
-// lookups only contend when they collide on a shard.
+// returns stays valid for the store's lifetime — submit() resolves each
+// request to a `const StoredInstance*` exactly once, and executing cells
+// only ever read through those pointers. The map itself has one writer
+// and one reader, the thread driving the MatchService, so it takes no
+// lock.
 #pragma once
 
 #include <memory>
-#include <mutex>
 #include <string>
 #include <unordered_map>
-#include <vector>
 
 #include "stable/instance.hpp"
 #include "svc/digest.hpp"
@@ -35,9 +32,7 @@ struct StoredInstance {
 
 class InstanceStore {
  public:
-  /// `shards` must be >= 1; the default spreads a service's typical
-  /// corpus thinly enough that registration contention is negligible.
-  explicit InstanceStore(int shards = 8);
+  InstanceStore() = default;
 
   InstanceStore(const InstanceStore&) = delete;
   InstanceStore& operator=(const InstanceStore&) = delete;
@@ -49,17 +44,10 @@ class InstanceStore {
   /// The entry registered under `name`, or nullptr.
   const StoredInstance* find(const std::string& name) const;
 
-  std::int64_t size() const;
+  std::int64_t size() const { return static_cast<std::int64_t>(map_.size()); }
 
  private:
-  struct Shard {
-    mutable std::mutex mu;
-    std::unordered_map<std::string, std::unique_ptr<StoredInstance>> map;
-  };
-
-  Shard& shard_for(const std::string& name) const;
-
-  std::vector<std::unique_ptr<Shard>> shards_;
+  std::unordered_map<std::string, std::unique_ptr<StoredInstance>> map_;
 };
 
 }  // namespace dasm::svc

@@ -110,6 +110,13 @@ Request parse_request(std::istream& is) {
     }
   }
   req.fault_plan.validate();
+  // Raw loss (faults without the reliability sublayer) aborts asm and
+  // rand-asm, and can keep an mm run without an iteration budget from
+  // ever ending.
+  DASM_CHECK_MSG(!req.fault_plan.active() || req.retransmit_after >= 1 ||
+                     (req.algo == Algo::kMm && req.mm_iterations >= 1),
+                 "drop needs retransmit-after >= 1"
+                     << (req.algo == Algo::kMm ? " or iters >= 1" : ""));
   return req;
 }
 

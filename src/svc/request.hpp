@@ -14,7 +14,10 @@
 // Request keys (all optional, any order): eps, seed, backend (det|ii|rp),
 // max-rounds, iters (MM iteration budget), drop, fault-seed,
 // retransmit-after, max-retransmits. Unknown keys, unregistered instance
-// names, and malformed values all fail with a diagnostic.
+// names, and malformed values all fail with a diagnostic. So does raw
+// loss (DESIGN.md §8): `drop` needs `retransmit-after` >= 1, except on an
+// mm request with `iters` >= 1, because raw loss aborts asm and rand-asm
+// and can keep an unbudgeted mm run live forever.
 //
 // Response log: one line per request, in arrival order. The line is a
 // pure function of (instance, parameters) — cache state, batching, and

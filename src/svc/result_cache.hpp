@@ -1,4 +1,4 @@
-// Sharded response cache of the matching service (DESIGN.md §9).
+// Response cache of the matching service (DESIGN.md §9).
 //
 // Keyed on CacheKey = (instance digest, run-parameter digest); the stored
 // payload is a full Response minus the arrival id, so a hit reproduces the
@@ -7,14 +7,11 @@
 // there is nothing to invalidate; memory is bounded by the number of
 // distinct (instance, params) points a workload visits.
 //
-// Shards are locked individually so the driver thread's plan/commit
-// lookups and any concurrent out-of-band users only contend per shard.
+// Only the thread driving the MatchService looks up and inserts (batch
+// planning and commit), so the map takes no lock.
 #pragma once
 
-#include <memory>
-#include <mutex>
 #include <unordered_map>
-#include <vector>
 
 #include "svc/request.hpp"
 
@@ -22,7 +19,7 @@ namespace dasm::svc {
 
 class ResultCache {
  public:
-  explicit ResultCache(int shards = 8);
+  ResultCache() = default;
 
   ResultCache(const ResultCache&) = delete;
   ResultCache& operator=(const ResultCache&) = delete;
@@ -30,23 +27,23 @@ class ResultCache {
   /// Copies the cached payload for `key` into *out (its `id` is left as
   /// cached — callers re-stamp it) and returns true, or returns false on
   /// a miss.
-  bool lookup(const CacheKey& key, Response* out) const;
+  bool lookup(const CacheKey& key, Response* out) const {
+    const auto it = map_.find(key);
+    if (it == map_.end()) return false;
+    *out = it->second;
+    return true;
+  }
 
   /// Inserts the payload for `key`. Re-inserting an existing key keeps
   /// the first payload (runs are deterministic, so both are identical).
-  void insert(const CacheKey& key, const Response& response);
+  void insert(const CacheKey& key, const Response& response) {
+    map_.emplace(key, response);
+  }
 
-  std::int64_t size() const;
+  std::int64_t size() const { return static_cast<std::int64_t>(map_.size()); }
 
  private:
-  struct Shard {
-    mutable std::mutex mu;
-    std::unordered_map<CacheKey, Response, CacheKeyHash> map;
-  };
-
-  Shard& shard_for(const CacheKey& key) const;
-
-  std::vector<std::unique_ptr<Shard>> shards_;
+  std::unordered_map<CacheKey, Response, CacheKeyHash> map_;
 };
 
 }  // namespace dasm::svc

@@ -86,7 +86,7 @@ MatchService::MatchService(SvcConfig config)
       rec_(config.obs_sink) {
   DASM_CHECK_MSG(config_.queue_capacity >= 1,
                  "queue capacity must be >= 1");
-  if (config_.metrics != nullptr && obs::MetricsRegistry::enabled()) {
+  if (config_.metrics != nullptr) {
     m_requests_ = config_.metrics->counter("svc.requests");
     m_shed_ = config_.metrics->counter("svc.shed");
     m_hits_ = config_.metrics->counter("svc.cache_hits");

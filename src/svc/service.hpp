@@ -1,5 +1,5 @@
 // MatchService (DESIGN.md §9): the in-process serving layer over the fast
-// engines — a bounded request queue with admission control, a sharded
+// engines — a bounded request queue with admission control, a
 // register-once InstanceStore, a ResultCache keyed on canonical digests,
 // and a deterministic batch scheduler that packs pending requests onto the
 // PR-2 SweepRunner and commits responses in request-arrival order.

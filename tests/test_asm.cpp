@@ -7,6 +7,7 @@
 #include <cmath>
 
 #include "gen/generators.hpp"
+#include "obs/trace.hpp"
 #include "stable/blocking.hpp"
 #include "stable/gale_shapley.hpp"
 #include "util/check.hpp"
@@ -139,39 +140,45 @@ TEST(Asm, MessagesRespectCongestBudget) {
 
 TEST(Asm, TraceRecordsEveryQuantileMatch) {
   const Instance inst = gen::complete_uniform(24, 7);
+  obs::MemorySink sink;
   AsmParams params;
-  params.record_trace = true;
+  params.obs_sink = &sink;
   const AsmResult r = run_asm(inst, params);
-  ASSERT_EQ(static_cast<std::int64_t>(r.trace.size()),
+  const auto rows = obs::convergence_rows(sink);
+  ASSERT_EQ(static_cast<std::int64_t>(rows.size()),
             r.quantile_matches_executed);
-  for (const auto& snap : r.trace) {
-    EXPECT_GE(snap.active_men, snap.bad_active_men);
-    EXPECT_GE(snap.matched_pairs, 0);
-    EXPECT_LE(snap.matched_pairs, 24);
+  for (const auto& row : rows) {
+    EXPECT_GE(row.value(obs::Counter::kActiveMen),
+              row.value(obs::Counter::kBadActiveMen));
+    EXPECT_GE(row.value(obs::Counter::kMatchedPairs), 0);
+    EXPECT_LE(row.value(obs::Counter::kMatchedPairs), 24);
   }
-  // The matched count never decreases across snapshots (Lemma 1: women
-  // never lose partners, so the matching size is monotone).
-  for (std::size_t i = 1; i < r.trace.size(); ++i) {
-    EXPECT_GE(r.trace[i].matched_pairs, r.trace[i - 1].matched_pairs);
+  // The matched count never decreases across inner iterations (Lemma 1:
+  // women never lose partners, so the matching size is monotone).
+  for (std::size_t i = 1; i < rows.size(); ++i) {
+    EXPECT_GE(rows[i].value(obs::Counter::kMatchedPairs),
+              rows[i - 1].value(obs::Counter::kMatchedPairs));
   }
 }
 
 TEST(Asm, Lemma2EveryQuantileMatchDrainsActiveSets) {
   // Lemma 2: when QuantileMatch terminates, every man's A is empty (he is
-  // matched or was rejected by all of A). Snapshots are taken right after
-  // each completed QuantileMatch.
+  // matched or was rejected by all of A). The counters are sampled right
+  // after each completed QuantileMatch.
   for (const char* family : {"complete", "master"}) {
     const Instance inst = family == std::string("complete")
                               ? gen::complete_uniform(48, 23)
                               : gen::master_list(48, 48, 23);
+    obs::MemorySink sink;
     AsmParams params;
     params.epsilon = 0.25;
-    params.record_trace = true;
-    const AsmResult r = run_asm(inst, params);
-    ASSERT_FALSE(r.trace.empty());
-    for (const auto& snap : r.trace) {
-      EXPECT_EQ(snap.men_with_live_targets, 0)
-          << "QM " << snap.inner_iteration << " on " << family;
+    params.obs_sink = &sink;
+    run_asm(inst, params);
+    const auto rows = obs::convergence_rows(sink);
+    ASSERT_FALSE(rows.empty());
+    for (const auto& row : rows) {
+      EXPECT_EQ(row.value(obs::Counter::kMenWithLiveTargets), 0)
+          << "QM " << row.inner << " on " << family;
     }
   }
 }

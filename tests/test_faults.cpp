@@ -451,6 +451,27 @@ TEST(FaultDeterminismTest, MmRunnerRepeatsBitForBit) {
   }
 }
 
+// Raw loss (an active plan with retransmit_after == 0) aborts ASM and can
+// keep an unbudgeted MM run live forever, so the ASM engine and the MM
+// runner refuse it before round 0; MM with an iteration budget may still
+// run raw.
+TEST(FaultRulesTest, RawLossIsRefusedBeforeRoundZero) {
+  const Instance inst = gen::complete_uniform(8, 3);
+  core::AsmParams asm_params;
+  asm_params.fault_plan = lossy_plan(4);
+  EXPECT_THROW(core::run_asm(inst, asm_params), CheckError);
+  core::RandAsmParams rand_params;
+  rand_params.fault_plan = lossy_plan(4);
+  EXPECT_THROW(core::run_rand_asm(inst, rand_params), CheckError);
+
+  const auto [g, is_left] = testing::random_bipartite(8, 8, 0.5, 2);
+  mm::RunConfig config;
+  config.fault_plan = lossy_plan(4);
+  EXPECT_THROW(run_maximal_matching(g, is_left, config), CheckError);
+  config.max_iterations = 3;
+  EXPECT_LE(run_maximal_matching(g, is_left, config).iterations_executed, 3);
+}
+
 // ---------------------------------------------------------------------------
 // Convergence: ASM with retransmission at 10% uniform loss still reaches a
 // (1 - eps)-stable matching — and in fact the fault-free matching exactly.

@@ -105,7 +105,6 @@ HistogramSnapshot observe_all(const std::vector<std::int64_t>& values) {
 }
 
 TEST(HistogramSnapshot, MergeIsAssociativeAndMatchesDirectObservation) {
-  if (!MetricsRegistry::enabled()) GTEST_SKIP() << "DASM_OBS_DISABLED";
   const std::vector<std::int64_t> a = {0, 3, 3, 17, 960};
   const std::vector<std::int64_t> b = {1, 17, 100000};
   const std::vector<std::int64_t> c = {5, 5, 5, kInt64Max};
@@ -143,7 +142,6 @@ TEST(HistogramSnapshot, MergeIsAssociativeAndMatchesDirectObservation) {
 }
 
 TEST(HistogramSnapshot, QuantilesExactBelowSixteenAndClampedAbove) {
-  if (!MetricsRegistry::enabled()) GTEST_SKIP() << "DASM_OBS_DISABLED";
   const HistogramSnapshot h =
       observe_all({1, 2, 3, 4, 5, 6, 7, 8, 9, 10});
   EXPECT_EQ(h.quantile(0.0), 1);
@@ -163,7 +161,6 @@ TEST(HistogramSnapshot, QuantilesExactBelowSixteenAndClampedAbove) {
 }
 
 TEST(HistogramSnapshot, TopBucketSaturatesWithoutLosingCounts) {
-  if (!MetricsRegistry::enabled()) GTEST_SKIP() << "DASM_OBS_DISABLED";
   const HistogramSnapshot h = observe_all({kInt64Max, 7});
   EXPECT_EQ(h.count, 2);
   EXPECT_EQ(h.max, kInt64Max);
@@ -176,7 +173,6 @@ TEST(HistogramSnapshot, TopBucketSaturatesWithoutLosingCounts) {
 // ---- Registry semantics -------------------------------------------------
 
 TEST(MetricsRegistry, RegistrationIsIdempotentAndKindChecked) {
-  if (!MetricsRegistry::enabled()) GTEST_SKIP() << "DASM_OBS_DISABLED";
   MetricsRegistry reg;
   const obs::CounterHandle c1 = reg.counter("x");
   const obs::CounterHandle c2 = reg.counter("x");
@@ -202,7 +198,6 @@ TEST(MetricsRegistry, InactiveHandlesRecordNothing) {
 }
 
 TEST(MetricsRegistry, WallClockMetricsSegregatedByPrefix) {
-  if (!MetricsRegistry::enabled()) GTEST_SKIP() << "DASM_OBS_DISABLED";
   EXPECT_TRUE(obs::is_wall_clock_metric("time.engine.outer_us"));
   EXPECT_FALSE(obs::is_wall_clock_metric("engine.runs"));
   MetricsRegistry reg;
@@ -219,7 +214,6 @@ TEST(MetricsRegistry, WallClockMetricsSegregatedByPrefix) {
 // ---- Determinism of the instrumented stacks ------------------------------
 
 TEST(MetricsDeterminism, EngineLogicalSnapshotsRepeatAndExcludeWallClock) {
-  if (!MetricsRegistry::enabled()) GTEST_SKIP() << "DASM_OBS_DISABLED";
   const Instance inst = gen::complete_uniform(32, 5);
   std::string expected;
   for (int rep = 0; rep < 2; ++rep) {
@@ -247,7 +241,6 @@ TEST(MetricsDeterminism, EngineLogicalSnapshotsRepeatAndExcludeWallClock) {
 }
 
 TEST(MetricsDeterminism, ServiceLogicalSnapshotsByteIdenticalAcrossThreads) {
-  if (!MetricsRegistry::enabled()) GTEST_SKIP() << "DASM_OBS_DISABLED";
   std::string expected;
   for (const int threads : thread_ladder()) {
     MetricsRegistry reg;
@@ -307,7 +300,6 @@ MetricsSnapshot golden_snapshot() {
 }
 
 TEST(MetricsExport, PrometheusGoldenBytes) {
-  if (!MetricsRegistry::enabled()) GTEST_SKIP() << "DASM_OBS_DISABLED";
   std::ostringstream os;
   obs::write_prometheus(os, golden_snapshot());
   EXPECT_EQ(os.str(),
@@ -326,7 +318,6 @@ TEST(MetricsExport, PrometheusGoldenBytes) {
 }
 
 TEST(MetricsExport, JsonlGoldenBytesAndRoundTrip) {
-  if (!MetricsRegistry::enabled()) GTEST_SKIP() << "DASM_OBS_DISABLED";
   const MetricsSnapshot snap = golden_snapshot();
   const std::string bytes = obs::metrics_to_jsonl(snap);
   EXPECT_EQ(bytes,
@@ -346,7 +337,6 @@ TEST(MetricsExport, JsonlGoldenBytesAndRoundTrip) {
 }
 
 TEST(MetricsExport, PromExtensionSelectsPrometheus) {
-  if (!MetricsRegistry::enabled()) GTEST_SKIP() << "DASM_OBS_DISABLED";
   const std::string path = testing::TempDir() + "/dasm_metrics_test.prom";
   obs::write_metrics_file(golden_snapshot(), path);
   std::ifstream in(path);
@@ -371,7 +361,6 @@ std::string inject_future_key(std::string text, const std::string& needle) {
 }
 
 TEST(ForwardCompat, MetricsLoaderSkipsUnknownKeys) {
-  if (!MetricsRegistry::enabled()) GTEST_SKIP() << "DASM_OBS_DISABLED";
   const MetricsSnapshot snap = golden_snapshot();
   std::string bytes = obs::metrics_to_jsonl(snap);
   bytes = inject_future_key(bytes, "\"t\":\"ctr\"");
@@ -401,7 +390,6 @@ TEST(ForwardCompat, TraceLoaderSkipsUnknownKeys) {
 }
 
 TEST(ForwardCompat, MalformedAndUnknownTagLinesStillFail) {
-  if (!MetricsRegistry::enabled()) GTEST_SKIP() << "DASM_OBS_DISABLED";
   const std::string base = obs::metrics_to_jsonl(golden_snapshot());
   const auto fails = [](const std::string& text) {
     MetricsSnapshot out;
@@ -441,7 +429,6 @@ MetricsSnapshot scalar_snapshot(std::int64_t runs, double hist_mean_x10) {
 }
 
 TEST(DiffGate, SelfCompareHasNoRegressions) {
-  if (!MetricsRegistry::enabled()) GTEST_SKIP() << "DASM_OBS_DISABLED";
   const MetricsSnapshot snap = scalar_snapshot(5, 100);
   for (const MetricDelta& d : obs::diff_snapshots(snap, snap, 10.0)) {
     EXPECT_FALSE(d.regression) << d.name;
@@ -451,7 +438,6 @@ TEST(DiffGate, SelfCompareHasNoRegressions) {
 }
 
 TEST(DiffGate, ThresholdSeparatesNoiseFromRegression) {
-  if (!MetricsRegistry::enabled()) GTEST_SKIP() << "DASM_OBS_DISABLED";
   const MetricsSnapshot base = scalar_snapshot(100, 100);
   // +5% everywhere: inside a 10% threshold, outside a 2% threshold.
   const MetricsSnapshot cand = scalar_snapshot(105, 105);
@@ -470,7 +456,6 @@ TEST(DiffGate, ThresholdSeparatesNoiseFromRegression) {
 }
 
 TEST(DiffGate, ZeroBaseRegressesOnAnyIncreaseAndMissingSidesAreReported) {
-  if (!MetricsRegistry::enabled()) GTEST_SKIP() << "DASM_OBS_DISABLED";
   MetricsRegistry base_reg;
   base_reg.counter("shed");  // registered, never incremented: value 0
   const MetricsSnapshot base = base_reg.snapshot();

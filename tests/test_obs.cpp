@@ -41,17 +41,6 @@ TEST(Recorder, NoSinkRecordsNothing) {
   EXPECT_EQ(rec.events_committed(), 0);
 }
 
-TEST(Recorder, NullSinkDiscardsButCounts) {
-  obs::NullSink null;
-  obs::Recorder rec(&null);
-  EXPECT_TRUE(rec.enabled());
-  NetStats stats;
-  rec.begin_span(Phase::kRun, 0, stats);
-  rec.end_span(Phase::kRun, 0, stats);
-  rec.finish(stats);
-  EXPECT_EQ(rec.events_committed(), 2);
-}
-
 TEST(Recorder, EventsCarryRoundAndCumulativeMessages) {
   MemorySink sink;
   obs::Recorder rec(&sink);

@@ -549,6 +549,11 @@ TEST(ServeMalformed, BadLinesAnswerErrWithoutDesyncingTheStream) {
       {"instance h gen complete 0 1\n", "must be positive"},
       {"frobnicate\n", "expected 'request' or 'instance'"},
       {std::string("requ\0est g asm\n", 15), "NUL"},
+      // Raw loss would abort the run (asm, rand-asm) or never end it (mm
+      // without iters), so it is refused before it reaches the service.
+      {"request g asm eps 0.5 seed 1 drop 0.1\n", "retransmit-after"},
+      {"request g rand-asm drop 0.05\n", "retransmit-after"},
+      {"request g mm backend ii drop 0.1\n", "or iters"},
   };
   for (const auto& [line, want] : cases) {
     client.send_all(line);

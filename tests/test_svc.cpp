@@ -70,7 +70,7 @@ TEST(SvcDigest, ParamsDigestsArePinned) {
 // Store and cache
 
 TEST(SvcInstanceStore, RegisterOnceServeMany) {
-  InstanceStore store(4);
+  InstanceStore store;
   const StoredInstance& a = store.add("a", gen::complete_uniform(8, 1));
   EXPECT_EQ(store.size(), 1);
   EXPECT_EQ(store.find("a"), &a);  // pointers are stable
@@ -83,7 +83,7 @@ TEST(SvcInstanceStore, RegisterOnceServeMany) {
 }
 
 TEST(SvcResultCache, LookupInsert) {
-  ResultCache cache(4);
+  ResultCache cache;
   const CacheKey key{1, 2};
   Response out;
   EXPECT_FALSE(cache.lookup(key, &out));
@@ -174,6 +174,20 @@ TEST(SvcRequestFile, RejectsMalformedInput) {
   EXPECT_THROW(parse("dasm-requests 1\ninstance a gen complete 8 1\n"
                      "request a asm seed -1\n"),
                CheckError);
+  // Raw loss: drop needs retransmit-after, except on mm with an iteration
+  // budget.
+  for (const char* raw : {"request a asm eps 0.5 drop 0.1\n",
+                          "request a rand-asm drop 0.05 fault-seed 3\n",
+                          "request a asm drop 0.1 iters 2\n",
+                          "request a mm backend ii drop 0.1\n",
+                          "request a mm drop 0.1 iters 0\n"}) {
+    const std::string text =
+        std::string("dasm-requests 1\ninstance a gen complete 8 1\n") + raw;
+    EXPECT_THROW(parse(text.c_str()), CheckError) << raw;
+  }
+  EXPECT_NO_THROW(parse("dasm-requests 1\ninstance a gen complete 8 1\n"
+                        "request a mm drop 0.1 iters 1\n"
+                        "request a asm drop 0.1 retransmit-after 1\n"));
 }
 
 // ---------------------------------------------------------------------------

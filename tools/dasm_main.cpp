@@ -149,8 +149,8 @@ int cmd_info(const Cli& cli) {
 }
 
 // Engine knobs shared by the asm and rand-asm paths: a lossy network and
-// the reliability sublayer. Drop without retransmit deliberately degrades
-// the result — see AsmParams for semantics.
+// the reliability sublayer. Drop without retransmit is refused before
+// round 0, since raw loss aborts the run — see AsmParams::fault_plan.
 struct EngineFlags {
   FaultPlan fault_plan;
   int retransmit_after = 0;

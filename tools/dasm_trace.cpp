@@ -38,6 +38,7 @@ namespace {
 
 using dasm::MsgType;
 using dasm::Table;
+using dasm::obs::ConvergenceRow;
 using dasm::obs::Counter;
 using dasm::obs::Event;
 using dasm::obs::kCounterCount;
@@ -137,40 +138,16 @@ void print_traffic_summary(const MemorySink& sink, std::ostream& os) {
   }
 }
 
-// One row per inner iteration (ASM engines) — the latest value of each
-// engine counter at the moment the inner span closed. This is the
-// convergence curve of the run: matched size up, active men down.
+// One row per inner iteration (ASM engines; obs::convergence_rows). This
+// is the convergence curve of the run: matched size up, active men down.
 void print_convergence(const MemorySink& sink, std::ostream& os) {
-  std::array<std::optional<std::int64_t>, kCounterCount> latest{};
-  std::int64_t outer = -1;
-  struct Row {
-    std::int64_t outer;
-    std::int64_t inner;
-    std::int64_t round;
-    std::array<std::optional<std::int64_t>, kCounterCount> counters;
-  };
-  std::vector<Row> rows;
-  for (const Event& e : sink.events) {
-    switch (e.kind) {
-      case Event::Kind::kCounter:
-        latest[static_cast<std::size_t>(e.counter)] = e.value;
-        break;
-      case Event::Kind::kBegin:
-        if (e.phase == Phase::kOuter) outer = e.index;
-        break;
-      case Event::Kind::kEnd:
-        if (e.phase == Phase::kInner) {
-          rows.push_back(Row{outer, e.index, e.round, latest});
-        }
-        break;
-    }
-  }
+  const std::vector<ConvergenceRow> rows = dasm::obs::convergence_rows(sink);
   if (rows.empty()) return;
 
   // Only show counter columns the trace actually populated (blocking-pair
   // columns appear only when the run sampled them).
   std::array<bool, kCounterCount> present{};
-  for (const Row& r : rows) {
+  for (const ConvergenceRow& r : rows) {
     for (int c = 0; c < kCounterCount; ++c) {
       if (r.counters[static_cast<std::size_t>(c)]) {
         present[static_cast<std::size_t>(c)] = true;
@@ -184,7 +161,7 @@ void print_convergence(const MemorySink& sink, std::ostream& os) {
     }
   }
   Table table(headers);
-  for (const Row& r : rows) {
+  for (const ConvergenceRow& r : rows) {
     std::vector<std::string> cells = {Table::num(r.outer), Table::num(r.inner),
                                       Table::num(r.round)};
     for (int c = 0; c < kCounterCount; ++c) {

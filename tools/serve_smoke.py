@@ -10,8 +10,9 @@ Drives a live server through the whole front-end contract once:
      bodies as Prometheus text exposition, and checks that every counter
      is monotonic between scrapes (the registry-lifetime contract: a
      scrape never resets);
-  3. sends one garbage line and checks the server answers a diagnostic
-     ERR without dropping the valid request that follows.
+  3. sends one garbage line and one raw-loss request (drop without
+     retransmit-after) and checks the server answers each with a
+     diagnostic ERR, then serves the valid request that follows.
 
 Usage: serve_smoke.py (--port N | --port-file PATH)
 Exits nonzero on the first violated expectation.
@@ -137,21 +138,23 @@ def main():
         if "_us" in name and not name.startswith("dasm_time_"):
             fail("wall-clock metric outside time.* namespace: " + name)
 
-    # Malformed input answers ERR and the stream keeps working.
+    # Malformed input and raw loss answer ERR and the stream keeps working.
     sock = connect(port)
     lines = Lines(sock)
     sock.sendall(b"dasm-requests 1\nfrobnicate\n"
+                 b"request smoke_a asm eps 0.5 seed 1 drop 0.1\n"
                  b"request smoke_a asm eps 0.5 seed 1\n")
     if lines.read_line() != "dasm-responses 1":
         fail("bad greeting on malformed-input connection")
-    err = lines.read_line()
-    if not err.startswith("ERR "):
-        fail("garbage line not answered with ERR: " + err)
+    for what in ("garbage line", "raw-loss request"):
+        err = lines.read_line()
+        if not err.startswith("ERR "):
+            fail(what + " not answered with ERR: " + err)
     if not lines.read_line().startswith("r 0 "):
-        fail("valid request after garbage line not served")
+        fail("valid request after the ERR lines not served")
     sock.close()
 
-    print("serve_smoke: OK (7 requests, 2 scrapes, 1 ERR recovery)")
+    print("serve_smoke: OK (7 requests, 2 scrapes, 2 ERR recoveries)")
 
 
 if __name__ == "__main__":

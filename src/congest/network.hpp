@@ -133,7 +133,7 @@ class Network {
   Network(Graph&&, int = 0) = delete;
 
   NodeId node_count() const { return graph_->node_count(); }
-  const std::vector<NodeId>& neighbors(NodeId v) const {
+  std::span<const NodeId> neighbors(NodeId v) const {
     return graph_->neighbors(v);
   }
   bool has_edge(NodeId u, NodeId v) const { return graph_->has_edge(u, v); }

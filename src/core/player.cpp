@@ -14,10 +14,10 @@ NodeId quantile_of_rank(NodeId rank, NodeId degree, NodeId k) {
 
 // ---------------------------------------------------------------- ManPlayer
 
-ManPlayer::ManPlayer(NodeId node_id, const PreferenceList& pref, NodeId k,
+ManPlayer::ManPlayer(NodeId node_id, PreferenceList pref, NodeId k,
                      NodeId woman_id_offset, std::unique_ptr<mm::Node> mm_node)
     : node_id_(node_id),
-      pref_(&pref),
+      pref_(pref),
       k_(k),
       woman_id_offset_(woman_id_offset),
       mm_(std::move(mm_node)) {
@@ -41,12 +41,12 @@ void ManPlayer::begin_quantile_match() {
   // sorted by preference, so members of one quantile are contiguous among
   // the surviving ranks.
   NodeId best_quantile = kNoNode;
-  for (NodeId r = 0; r < pref_->degree(); ++r) {
+  for (NodeId r = 0; r < pref_.degree(); ++r) {
     if (!in_q_[static_cast<std::size_t>(r)]) continue;
-    const NodeId q = quantile_of_rank(r, pref_->degree(), k_);
+    const NodeId q = quantile_of_rank(r, pref_.degree(), k_);
     if (best_quantile == kNoNode) best_quantile = q;
     if (q != best_quantile) break;
-    active_targets_.push_back(pref_->at_rank(r));
+    active_targets_.push_back(pref_.at_rank(r));
   }
 }
 
@@ -54,7 +54,7 @@ void ManPlayer::process_rejections(InboxView inbox) {
   for (const Envelope& e : inbox) {
     if (e.msg.type != MsgType::kReject) continue;
     const NodeId w = e.from - woman_id_offset_;
-    const NodeId r = pref_->rank_of(w);
+    const NodeId r = pref_.rank_of(w);
     DASM_CHECK_MSG(r != kNoNode,
                    "man " << node_id_ << " rejected by unranked woman " << w);
     DASM_CHECK_MSG(in_q_[static_cast<std::size_t>(r)],
@@ -99,7 +99,7 @@ void ManPlayer::resolve_round() {
   DASM_CHECK_MSG(partner_ == kNoNode,
                  "man " << node_id_ << " matched in M0 while already engaged");
   partner_ = p0 - woman_id_offset_;
-  DASM_DCHECK(pref_->contains(partner_));
+  DASM_DCHECK(pref_.contains(partner_));
   active_targets_.clear();  // A <- {} (Step 4)
 }
 
@@ -119,9 +119,9 @@ void ManPlayer::finalize(InboxView inbox) {
 
 // -------------------------------------------------------------- WomanPlayer
 
-WomanPlayer::WomanPlayer(NodeId node_id, const PreferenceList& pref, NodeId k,
+WomanPlayer::WomanPlayer(NodeId node_id, PreferenceList pref, NodeId k,
                          std::unique_ptr<mm::Node> mm_node)
-    : node_id_(node_id), pref_(&pref), k_(k), mm_(std::move(mm_node)) {
+    : node_id_(node_id), pref_(pref), k_(k), mm_(std::move(mm_node)) {
   DASM_CHECK(k >= 1);
   DASM_CHECK(mm_ != nullptr);
   in_q_.assign(static_cast<std::size_t>(pref.degree()), true);
@@ -140,21 +140,21 @@ void WomanPlayer::accept_round(InboxView inbox,
   for (const Envelope& e : inbox) {
     if (e.msg.type != MsgType::kPropose) continue;
     const NodeId m = e.from;
-    const NodeId r = pref_->rank_of(m);
+    const NodeId r = pref_.rank_of(m);
     DASM_CHECK_MSG(r != kNoNode,
                    "woman " << node_id_ << " got proposal from unranked man "
                             << m);
     DASM_CHECK_MSG(in_q_[static_cast<std::size_t>(r)],
                    "proposal from pruned man " << m << " to woman "
                                                << node_id_);
-    const NodeId q = quantile_of_rank(r, pref_->degree(), k_);
+    const NodeId q = quantile_of_rank(r, pref_.degree(), k_);
     proposers.emplace_back(q, m);
     if (best_quantile == kNoNode || q < best_quantile) best_quantile = q;
   }
   if (best_quantile == kNoNode) return;
   if (partner_ != kNoNode) {
     DASM_DCHECK(best_quantile <
-                quantile_of_rank(pref_->rank_of(partner_), pref_->degree(),
+                quantile_of_rank(pref_.rank_of(partner_), pref_.degree(),
                                  k_));
   }
   for (const auto& [q, m] : proposers) {
@@ -184,19 +184,19 @@ void WomanPlayer::resolve_round(Network& net) {
   DASM_DCHECK(std::find(accepted_.begin(), accepted_.end(), p0) !=
               accepted_.end());
   const NodeId q0 =
-      quantile_of_rank(pref_->rank_of(p0), pref_->degree(), k_);
+      quantile_of_rank(pref_.rank_of(p0), pref_.degree(), k_);
   // Lemma 1 (monotonicity): a new partner always sits in a strictly
   // better quantile than the one he displaces.
   DASM_DCHECK(partner_ == kNoNode ||
-              q0 < quantile_of_rank(pref_->rank_of(partner_),
-                                    pref_->degree(), k_));
+              q0 < quantile_of_rank(pref_.rank_of(partner_),
+                                    pref_.degree(), k_));
   // Reject every remaining Q member in quantile q0 or worse, other than
   // the new partner. This prunes the old partner too (his quantile is
   // strictly worse than q0), which is how he learns he was displaced.
-  for (NodeId r = 0; r < pref_->degree(); ++r) {
+  for (NodeId r = 0; r < pref_.degree(); ++r) {
     if (!in_q_[static_cast<std::size_t>(r)]) continue;
-    if (quantile_of_rank(r, pref_->degree(), k_) < q0) continue;
-    const NodeId m = pref_->at_rank(r);
+    if (quantile_of_rank(r, pref_.degree(), k_) < q0) continue;
+    const NodeId m = pref_.at_rank(r);
     if (m == p0) continue;
     net.send(node_id_, m, Message{MsgType::kReject});
     in_q_[static_cast<std::size_t>(r)] = false;

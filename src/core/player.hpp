@@ -28,7 +28,7 @@ class ManPlayer {
  public:
   /// `woman_id_offset` converts the woman indices in `pref` to network
   /// node ids (women are numbered after the men).
-  ManPlayer(NodeId node_id, const PreferenceList& pref, NodeId k,
+  ManPlayer(NodeId node_id, PreferenceList pref, NodeId k,
             NodeId woman_id_offset, std::unique_ptr<mm::Node> mm_node);
 
   NodeId node_id() const { return node_id_; }
@@ -78,7 +78,7 @@ class ManPlayer {
   void process_rejections(InboxView inbox);
 
   NodeId node_id_;
-  const PreferenceList* pref_;
+  PreferenceList pref_;  // a view into the Instance, which outlives the run
   NodeId k_;
   NodeId woman_id_offset_;
   std::unique_ptr<mm::Node> mm_;
@@ -94,7 +94,7 @@ class ManPlayer {
 
 class WomanPlayer {
  public:
-  WomanPlayer(NodeId node_id, const PreferenceList& pref, NodeId k,
+  WomanPlayer(NodeId node_id, PreferenceList pref, NodeId k,
               std::unique_ptr<mm::Node> mm_node);
 
   NodeId node_id() const { return node_id_; }
@@ -120,7 +120,7 @@ class WomanPlayer {
 
  private:
   NodeId node_id_;
-  const PreferenceList* pref_;
+  PreferenceList pref_;  // a view into the Instance, which outlives the run
   NodeId k_;
   std::unique_ptr<mm::Node> mm_;
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <span>
 
 #include "util/check.hpp"
 #include "util/prng.hpp"
@@ -11,32 +12,44 @@ namespace dasm::gen {
 
 namespace {
 
-// Builds an Instance from men-side adjacency by ranking each player's
-// acceptable partners in an independent uniformly random order.
-Instance from_adjacency(std::vector<std::vector<NodeId>> men_adj,
-                        NodeId n_women, Xoshiro256& rng) {
-  const auto n_men = static_cast<NodeId>(men_adj.size());
-  std::vector<std::vector<NodeId>> women_adj(
-      static_cast<std::size_t>(n_women));
+// The men's acceptable partners as one CSR: man m's are
+// ids[offsets[m], offsets[m + 1]). Generators append one man at a time.
+struct Adjacency {
+  std::vector<std::int64_t> offsets{0};
+  std::vector<NodeId> ids;
+
+  void end_man() { offsets.push_back(static_cast<std::int64_t>(ids.size())); }
+};
+
+// Builds an Instance from the men's adjacency by ranking every player's
+// acceptable partners in an independent uniformly random order: each
+// man's row in turn, then each woman's. A woman's row, before her
+// shuffle, holds the men who accept her in ascending order — the
+// counting-sort transpose of the men's rows.
+Instance from_adjacency(Adjacency adj, NodeId n_women, Xoshiro256& rng) {
+  const auto n_men = static_cast<NodeId>(adj.offsets.size() - 1);
+  const auto men_total = static_cast<std::int64_t>(adj.ids.size());
+  std::vector<std::int64_t> fill(static_cast<std::size_t>(n_women) + 1, 0);
+  for (const NodeId w : adj.ids) ++fill[static_cast<std::size_t>(w) + 1];
+  std::partial_sum(fill.begin(), fill.end(), fill.begin());
+  for (NodeId w = 0; w < n_women; ++w) {
+    adj.offsets.push_back(men_total + fill[static_cast<std::size_t>(w) + 1]);
+  }
+  adj.ids.resize(static_cast<std::size_t>(2 * men_total));
   for (NodeId m = 0; m < n_men; ++m) {
-    for (NodeId w : men_adj[static_cast<std::size_t>(m)]) {
-      DASM_CHECK(w >= 0 && w < n_women);
-      women_adj[static_cast<std::size_t>(w)].push_back(m);
+    for (auto i = static_cast<std::size_t>(adj.offsets[m]);
+         i < static_cast<std::size_t>(adj.offsets[m + 1]); ++i) {
+      const auto w = static_cast<std::size_t>(adj.ids[i]);
+      adj.ids[static_cast<std::size_t>(men_total + fill[w]++)] = m;
     }
   }
-  std::vector<Ranking> men;
-  men.reserve(men_adj.size());
-  for (auto& adj : men_adj) {
-    rng.shuffle(adj);
-    men.emplace_back(std::move(adj));
+  for (std::size_t v = 0; v + 1 < adj.offsets.size(); ++v) {
+    std::span<NodeId> row(adj.ids.data() + adj.offsets[v],
+                          static_cast<std::size_t>(adj.offsets[v + 1] -
+                                                   adj.offsets[v]));
+    rng.shuffle(row);
   }
-  std::vector<Ranking> women;
-  women.reserve(women_adj.size());
-  for (auto& adj : women_adj) {
-    rng.shuffle(adj);
-    women.emplace_back(std::move(adj));
-  }
-  return Instance(std::move(men), std::move(women));
+  return Instance(n_men, n_women, std::move(adj.offsets), std::move(adj.ids));
 }
 
 std::vector<NodeId> identity_permutation(NodeId n) {
@@ -50,9 +63,13 @@ std::vector<NodeId> identity_permutation(NodeId n) {
 Instance complete_uniform(NodeId n, std::uint64_t seed) {
   DASM_CHECK(n >= 1);
   Xoshiro256 rng = derive_stream(seed, 0xC0);
-  std::vector<std::vector<NodeId>> men_adj(
-      static_cast<std::size_t>(n), identity_permutation(n));
-  return from_adjacency(std::move(men_adj), n, rng);
+  const auto row = identity_permutation(n);
+  Adjacency adj;
+  for (NodeId m = 0; m < n; ++m) {
+    adj.ids.insert(adj.ids.end(), row.begin(), row.end());
+    adj.end_man();
+  }
+  return from_adjacency(std::move(adj), n, rng);
 }
 
 Instance incomplete_uniform(NodeId n_men, NodeId n_women, double p,
@@ -60,15 +77,16 @@ Instance incomplete_uniform(NodeId n_men, NodeId n_women, double p,
   DASM_CHECK(n_men >= 1 && n_women >= 1);
   DASM_CHECK(p >= 0.0 && p <= 1.0);
   Xoshiro256 rng = derive_stream(seed, 0x1C);
-  std::vector<std::vector<NodeId>> men_adj(static_cast<std::size_t>(n_men));
+  // rng.bernoulli(p), draw for draw, as one integer compare.
+  const std::uint64_t threshold = Xoshiro256::bernoulli_threshold(p);
+  Adjacency adj;
   for (NodeId m = 0; m < n_men; ++m) {
     for (NodeId w = 0; w < n_women; ++w) {
-      if (rng.bernoulli(p)) {
-        men_adj[static_cast<std::size_t>(m)].push_back(w);
-      }
+      if (rng.bernoulli_below(threshold)) adj.ids.push_back(w);
     }
+    adj.end_man();
   }
-  return from_adjacency(std::move(men_adj), n_women, rng);
+  return from_adjacency(std::move(adj), n_women, rng);
 }
 
 Instance regular_bipartite(NodeId n, NodeId d, std::uint64_t seed) {
@@ -79,33 +97,40 @@ Instance regular_bipartite(NodeId n, NodeId d, std::uint64_t seed) {
   rng.shuffle(base);
   // d cyclic shifts of one permutation: man i's neighbours are distinct
   // and every woman appears in exactly d lists.
-  std::vector<std::vector<NodeId>> men_adj(static_cast<std::size_t>(n));
+  Adjacency adj;
   for (NodeId m = 0; m < n; ++m) {
     for (NodeId t = 0; t < d; ++t) {
-      men_adj[static_cast<std::size_t>(m)].push_back(
-          base[static_cast<std::size_t>((m + t) % n)]);
+      adj.ids.push_back(base[static_cast<std::size_t>((m + t) % n)]);
     }
+    adj.end_man();
   }
-  return from_adjacency(std::move(men_adj), n, rng);
+  return from_adjacency(std::move(adj), n, rng);
 }
 
 Instance bounded_degree(NodeId n, NodeId d, std::uint64_t seed) {
   DASM_CHECK(n >= 1);
   DASM_CHECK(d >= 1 && d <= n);
   Xoshiro256 rng = derive_stream(seed, 0xBD);
-  std::vector<std::vector<NodeId>> men_adj(static_cast<std::size_t>(n));
+  // d random matchings, drawn first; man m then takes his partner in each,
+  // in matching order, skipping repeats.
+  std::vector<std::vector<NodeId>> perms;
   for (NodeId t = 0; t < d; ++t) {
-    auto perm = identity_permutation(n);
-    rng.shuffle(perm);
-    for (NodeId m = 0; m < n; ++m) {
-      auto& adj = men_adj[static_cast<std::size_t>(m)];
+    perms.push_back(identity_permutation(n));
+    rng.shuffle(perms.back());
+  }
+  Adjacency adj;
+  for (NodeId m = 0; m < n; ++m) {
+    const std::int64_t first = adj.offsets.back();
+    for (const auto& perm : perms) {
       const NodeId w = perm[static_cast<std::size_t>(m)];
-      if (std::find(adj.begin(), adj.end(), w) == adj.end()) {
-        adj.push_back(w);
+      if (std::find(adj.ids.begin() + first, adj.ids.end(), w) ==
+          adj.ids.end()) {
+        adj.ids.push_back(w);
       }
     }
+    adj.end_man();
   }
-  return from_adjacency(std::move(men_adj), n, rng);
+  return from_adjacency(std::move(adj), n, rng);
 }
 
 Instance almost_regular(NodeId n, NodeId d_min, NodeId d_max,
@@ -113,8 +138,8 @@ Instance almost_regular(NodeId n, NodeId d_min, NodeId d_max,
   DASM_CHECK(n >= 1);
   DASM_CHECK(d_min >= 1 && d_min <= d_max && d_max <= n);
   Xoshiro256 rng = derive_stream(seed, 0xA5);
-  std::vector<std::vector<NodeId>> men_adj(static_cast<std::size_t>(n));
   auto pool = identity_permutation(n);
+  Adjacency adj;
   for (NodeId m = 0; m < n; ++m) {
     const auto deg = static_cast<std::size_t>(rng.range(d_min, d_max));
     // Partial Fisher–Yates: the first `deg` entries are a uniform sample
@@ -124,10 +149,10 @@ Instance almost_regular(NodeId n, NodeId d_min, NodeId d_max,
                                     rng.below(pool.size() - i));
       std::swap(pool[i], pool[j]);
     }
-    men_adj[static_cast<std::size_t>(m)].assign(pool.begin(),
-                                                pool.begin() + deg);
+    adj.ids.insert(adj.ids.end(), pool.begin(), pool.begin() + deg);
+    adj.end_man();
   }
-  return from_adjacency(std::move(men_adj), n, rng);
+  return from_adjacency(std::move(adj), n, rng);
 }
 
 Instance master_list(NodeId n, NodeId swaps, std::uint64_t seed) {
@@ -139,23 +164,23 @@ Instance master_list(NodeId n, NodeId swaps, std::uint64_t seed) {
   auto master_men = identity_permutation(n);
   rng.shuffle(master_men);
 
-  auto perturb = [&](const std::vector<NodeId>& base) {
-    auto list = base;
-    for (NodeId s = 0; s < swaps; ++s) {
-      if (list.size() < 2) break;
-      const std::size_t i = rng.below(list.size() - 1);
+  // Each man's list is the women's master order, and each woman's the
+  // men's, perturbed by `swaps` random adjacent transpositions; men first.
+  const auto size = static_cast<std::size_t>(n);
+  std::vector<std::int64_t> offsets(2 * size + 1);
+  std::vector<NodeId> ranked;
+  ranked.reserve(2 * size * size);
+  for (std::size_t v = 0; v < 2 * size; ++v) {
+    const auto& master = v < size ? master_women : master_men;
+    ranked.insert(ranked.end(), master.begin(), master.end());
+    NodeId* list = ranked.data() + v * size;
+    for (NodeId s = 0; s < swaps && size >= 2; ++s) {
+      const std::size_t i = rng.below(size - 1);
       std::swap(list[i], list[i + 1]);
     }
-    return list;
-  };
-
-  std::vector<Ranking> men;
-  std::vector<Ranking> women;
-  men.reserve(static_cast<std::size_t>(n));
-  women.reserve(static_cast<std::size_t>(n));
-  for (NodeId i = 0; i < n; ++i) men.emplace_back(perturb(master_women));
-  for (NodeId i = 0; i < n; ++i) women.emplace_back(perturb(master_men));
-  return Instance(std::move(men), std::move(women));
+    offsets[v + 1] = static_cast<std::int64_t>((v + 1) * size);
+  }
+  return Instance(n, n, std::move(offsets), std::move(ranked));
 }
 
 Instance gs_displacement_chain(NodeId n) {

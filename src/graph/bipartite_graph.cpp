@@ -1,23 +1,24 @@
 #include "graph/bipartite_graph.hpp"
 
+#include <utility>
+
 #include "util/check.hpp"
 
 namespace dasm {
 
-BipartiteGraph::BipartiteGraph(
-    NodeId n_men, NodeId n_women,
-    const std::vector<std::vector<NodeId>>& men_to_women)
-    : n_men_(n_men), n_women_(n_women), graph_(0) {
+BipartiteGraph::BipartiteGraph(NodeId n_men, NodeId n_women, Graph graph)
+    : n_men_(n_men), n_women_(n_women), graph_(std::move(graph)) {
   DASM_CHECK(n_men >= 0 && n_women >= 0);
-  DASM_CHECK(static_cast<NodeId>(men_to_women.size()) == n_men);
-  std::vector<Edge> edges;
-  for (NodeId m = 0; m < n_men; ++m) {
-    for (NodeId w : men_to_women[static_cast<std::size_t>(m)]) {
-      DASM_CHECK_MSG(w >= 0 && w < n_women, "woman index out of range: " << w);
-      edges.push_back(Edge{m, static_cast<NodeId>(n_men + w)});
-    }
+  DASM_CHECK(graph_.node_count() == n_men + n_women);
+  // Rows are sorted, so each row's ends bound it: a man's row holds only
+  // women, a woman's only men.
+  for (NodeId v = 0; v < graph_.node_count(); ++v) {
+    const auto nb = graph_.neighbors(v);
+    if (nb.empty()) continue;
+    DASM_CHECK_MSG(is_man(v) ? nb.front() >= n_men : nb.back() < n_men,
+                   "edge (" << v << "," << (is_man(v) ? nb.front() : nb.back())
+                            << ") does not join a man and a woman");
   }
-  graph_ = Graph(n_men + n_women, edges);
 }
 
 NodeId BipartiteGraph::man_id(NodeId man_index) const {

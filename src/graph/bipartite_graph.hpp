@@ -5,19 +5,15 @@
 // matching protocols and the ASM players.
 #pragma once
 
-#include <vector>
-
 #include "graph/graph.hpp"
 
 namespace dasm {
 
 class BipartiteGraph {
  public:
-  /// Builds the communication graph from per-man neighbour lists:
-  /// `men_to_women[i]` lists the woman indices on man i's preference list.
-  /// Symmetry is implied (each listed edge is a mutual ranking).
-  BipartiteGraph(NodeId n_men, NodeId n_women,
-                 const std::vector<std::vector<NodeId>>& men_to_women);
+  /// Wraps `graph`, whose first n_men nodes are the men and the other
+  /// n_women the women; every edge must join a man and a woman.
+  BipartiteGraph(NodeId n_men, NodeId n_women, Graph graph);
 
   NodeId n_men() const { return n_men_; }
   NodeId n_women() const { return n_women_; }

@@ -87,7 +87,8 @@ RunResult run_maximal_matching(const Graph& g,
         make_node(config.backend, config.seed, v, degree_bound, id_bound);
     const bool left =
         !is_left.empty() && is_left[static_cast<std::size_t>(v)];
-    node->reset(v, left, g.neighbors(v));
+    const auto nb = g.neighbors(v);
+    node->reset(v, left, {nb.begin(), nb.end()});
     nodes.push_back(std::move(node));
   }
 

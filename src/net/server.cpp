@@ -20,7 +20,7 @@ namespace dasm::net {
 
 namespace {
 
-/// CheckError messages are single-line already, but a diagnostic echoing
+/// CheckError messages are single-line already, but a message echoing
 /// client bytes could smuggle a newline into the response stream and
 /// desync the line protocol — flatten defensively.
 std::string sanitize(std::string_view message) {
@@ -304,7 +304,7 @@ bool Server::handle_request_line(Connection& conn, std::istream& rest) {
     m_requests_.inc();
     return true;
   } catch (const CheckError& e) {
-    reply_err(conn, sanitize(e.what()));
+    reply_err(conn, sanitize(e.message()));
     return false;
   }
 }
@@ -329,7 +329,7 @@ void Server::handle_instance_line(Connection& conn, std::istream& rest) {
     // Success is silent, so a protocol conversation's response stream is
     // byte-identical to the `dasm batch` log for the same request file.
   } catch (const CheckError& e) {
-    reply_err(conn, sanitize(e.what()));
+    reply_err(conn, sanitize(e.message()));
   }
 }
 

@@ -1,6 +1,6 @@
 #include "stable/capacitated.hpp"
 
-#include <algorithm>
+#include <numeric>
 
 #include "util/check.hpp"
 
@@ -8,88 +8,57 @@ namespace dasm {
 
 namespace {
 
-// Arenas take ownership of their rankings; the public CapacitatedInstance
-// struct keeps its own copies, so the arena gets a duplicate.
-std::vector<Ranking> copy_rankings(const std::vector<Ranking>& rankings) {
-  return rankings;
+// Seat -> owning hospital; hospital h's seats are consecutive.
+std::vector<NodeId> lay_out_seats(const std::vector<NodeId>& capacities,
+                                  NodeId n_hospitals) {
+  DASM_CHECK_MSG(static_cast<NodeId>(capacities.size()) == n_hospitals,
+                 "capacities must parallel the hospital list");
+  std::vector<NodeId> seat_hospital;
+  for (NodeId h = 0; h < n_hospitals; ++h) {
+    const NodeId c = capacities[static_cast<std::size_t>(h)];
+    DASM_CHECK_MSG(c >= 1, "hospital " << h << " has capacity " << c);
+    seat_hospital.insert(seat_hospital.end(), static_cast<std::size_t>(c), h);
+  }
+  return seat_hospital;
 }
 
-Instance build_expansion(const CapacitatedInstance& cap,
-                         const PrefArena& hospital_arena,
-                         const std::vector<NodeId>& seat_hospital,
-                         const std::vector<NodeId>& hospital_first) {
-  const auto n_residents = static_cast<NodeId>(cap.residents.size());
-  const auto n_seats = static_cast<NodeId>(seat_hospital.size());
-
-  std::vector<Ranking> men;
-  men.reserve(cap.residents.size());
-  for (NodeId r = 0; r < n_residents; ++r) {
-    Ranking ranked;
-    // The resident arena already validated h < n_hospitals.
-    for (NodeId h : cap.residents[static_cast<std::size_t>(r)]) {
-      DASM_CHECK_MSG(hospital_arena.list(h).contains(r),
-                     "asymmetric capacitated preferences between resident "
-                         << r << " and hospital " << h);
-      const NodeId first = hospital_first[static_cast<std::size_t>(h)];
-      for (NodeId c = 0; c < cap.capacities[static_cast<std::size_t>(h)];
-           ++c) {
-        ranked.push_back(first + c);
+// Residents rank every seat of a hospital, in seat order, where they
+// ranked the hospital; every seat carries its hospital's list verbatim.
+Instance expand(const Instance& raw, const std::vector<NodeId>& seat_hospital) {
+  std::vector<NodeId> first_seat(static_cast<std::size_t>(raw.n_women()) + 1,
+                                 0);
+  for (NodeId h : seat_hospital) ++first_seat[static_cast<std::size_t>(h) + 1];
+  std::partial_sum(first_seat.begin(), first_seat.end(), first_seat.begin());
+  std::vector<std::int64_t> offsets{0};
+  std::vector<NodeId> ranked;
+  for (NodeId r = 0; r < raw.n_men(); ++r) {
+    for (NodeId h : raw.man_pref(r).ranked()) {
+      for (NodeId s = first_seat[static_cast<std::size_t>(h)];
+           s < first_seat[static_cast<std::size_t>(h) + 1]; ++s) {
+        ranked.push_back(s);
       }
     }
-    men.push_back(std::move(ranked));
+    offsets.push_back(static_cast<std::int64_t>(ranked.size()));
   }
-
-  std::vector<Ranking> women;
-  women.reserve(static_cast<std::size_t>(n_seats));
-  for (NodeId s = 0; s < n_seats; ++s) {
-    const NodeId h = seat_hospital[static_cast<std::size_t>(s)];
-    // Every seat of a hospital carries the hospital's list verbatim.
-    women.push_back(cap.hospitals[static_cast<std::size_t>(h)]);
+  for (NodeId h : seat_hospital) {
+    const RankedView list = raw.woman_pref(h).ranked();
+    ranked.insert(ranked.end(), list.begin(), list.end());
+    offsets.push_back(static_cast<std::int64_t>(ranked.size()));
   }
-  return Instance(std::move(men), std::move(women));
+  return Instance(raw.n_men(), static_cast<NodeId>(seat_hospital.size()),
+                  std::move(offsets), std::move(ranked));
 }
 
 }  // namespace
 
 SeatExpansion::SeatExpansion(CapacitatedInstance capacitated)
-    : capacitated_(std::move(capacitated)),
-      n_seats_([&] {
-        DASM_CHECK_MSG(capacitated_.hospitals.size() ==
-                           capacitated_.capacities.size(),
-                       "capacities must parallel the hospital list");
-        NodeId seats = 0;
-        for (std::size_t h = 0; h < capacitated_.hospitals.size(); ++h) {
-          DASM_CHECK_MSG(capacitated_.capacities[h] >= 1,
-                         "hospital " << h << " has capacity "
-                                     << capacitated_.capacities[h]);
-          hospital_first_.push_back(seats);
-          for (NodeId c = 0; c < capacitated_.capacities[h]; ++c) {
-            seat_hospital_.push_back(static_cast<NodeId>(h));
-          }
-          seats += capacitated_.capacities[h];
-        }
-        return seats;
-      }()),
-      resident_arena_(copy_rankings(capacitated_.residents),
-                      static_cast<NodeId>(capacitated_.hospitals.size()),
-                      "resident"),
-      hospital_arena_(copy_rankings(capacitated_.hospitals),
-                      static_cast<NodeId>(capacitated_.residents.size()),
-                      "hospital"),
-      expanded_(build_expansion(capacitated_, hospital_arena_, seat_hospital_,
-                                hospital_first_)) {
-  for (NodeId h = 0; h < n_hospitals(); ++h) {
-    for (NodeId r : capacitated_.hospitals[static_cast<std::size_t>(h)]) {
-      DASM_CHECK_MSG(
-          resident_arena_.list(r).contains(h),
-          "asymmetric capacitated preferences between hospital "
-              << h << " and resident " << r);
-    }
-  }
-}
+    : capacities_(std::move(capacitated.capacities)),
+      raw_(capacitated.residents, capacitated.hospitals),
+      seat_hospital_(lay_out_seats(capacities_, raw_.n_women())),
+      expanded_(expand(raw_, seat_hospital_)) {}
 
 NodeId SeatExpansion::hospital_of_seat(NodeId seat) const {
-  DASM_CHECK(seat >= 0 && seat < n_seats_);
+  DASM_CHECK(seat >= 0 && seat < n_seats());
   return seat_hospital_[static_cast<std::size_t>(seat)];
 }
 
@@ -108,7 +77,7 @@ std::vector<NodeId> SeatExpansion::fold(const Matching& matching) const {
   }
   for (NodeId h = 0; h < n_hospitals(); ++h) {
     DASM_CHECK_MSG(load[static_cast<std::size_t>(h)] <=
-                       capacitated_.capacities[static_cast<std::size_t>(h)],
+                       capacities_[static_cast<std::size_t>(h)],
                    "hospital " << h << " over capacity");
   }
   return assignment;
@@ -126,15 +95,15 @@ std::int64_t SeatExpansion::count_blocking_pairs(
   }
   std::int64_t blocking = 0;
   for (NodeId r = 0; r < n_residents(); ++r) {
-    const PreferenceList& rp = resident_arena_.list(r);
+    const PreferenceList rp = raw_.man_pref(r);
     const NodeId my_h = assignment[static_cast<std::size_t>(r)];
     for (NodeId h : rp.ranked()) {
       if (h == my_h) continue;
       if (my_h != kNoNode && !rp.prefers(h, my_h)) continue;
-      const PreferenceList& hp = hospital_arena_.list(h);
+      const PreferenceList hp = raw_.woman_pref(h);
       const auto& occupants = assigned[static_cast<std::size_t>(h)];
       bool hospital_wants = static_cast<NodeId>(occupants.size()) <
-                            capacitated_.capacities[static_cast<std::size_t>(h)];
+                            capacities_[static_cast<std::size_t>(h)];
       if (!hospital_wants) {
         for (NodeId other : occupants) {
           if (hp.prefers(r, other)) {

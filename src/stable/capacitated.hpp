@@ -36,17 +36,12 @@ class SeatExpansion {
   /// Validates symmetry and capacities, then builds the expansion.
   explicit SeatExpansion(CapacitatedInstance capacitated);
 
-  const CapacitatedInstance& capacitated() const { return capacitated_; }
   /// One-to-one instance: men = residents, women = seats.
   const Instance& expanded() const { return expanded_; }
 
-  NodeId n_residents() const {
-    return static_cast<NodeId>(capacitated_.residents.size());
-  }
-  NodeId n_hospitals() const {
-    return static_cast<NodeId>(capacitated_.hospitals.size());
-  }
-  NodeId n_seats() const { return n_seats_; }
+  NodeId n_residents() const { return raw_.n_men(); }
+  NodeId n_hospitals() const { return raw_.n_women(); }
+  NodeId n_seats() const { return static_cast<NodeId>(seat_hospital_.size()); }
 
   /// Hospital owning a seat (a woman index of the expanded instance).
   NodeId hospital_of_seat(NodeId seat) const;
@@ -63,16 +58,12 @@ class SeatExpansion {
       const std::vector<NodeId>& assignment) const;
 
  private:
-  CapacitatedInstance capacitated_;
-  // Note: declaration order is initialization order — the seat maps must
-  // be constructed before n_seats_'s initializer fills them, and the rank
-  // arenas (which back the contains/prefers queries on the raw rankings)
-  // before the expansion that validates against them.
-  std::vector<NodeId> seat_hospital_;   // seat -> hospital
-  std::vector<NodeId> hospital_first_;  // hospital -> first seat index
-  NodeId n_seats_ = 0;
-  PrefArena resident_arena_;   // universe = n_hospitals
-  PrefArena hospital_arena_;   // universe = n_residents
+  // Declaration order is initialization order: the raw lists are checked
+  // (as an Instance: men = residents, women = hospitals) before the seats
+  // are laid out, and both before the expansion reads them.
+  std::vector<NodeId> capacities_;
+  Instance raw_;
+  std::vector<NodeId> seat_hospital_;  // seat -> hospital
   Instance expanded_;
 };
 

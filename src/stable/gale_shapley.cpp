@@ -26,7 +26,7 @@ GaleShapleyResult run_gs(NodeId n_proposers, NodeId n_acceptors,
   GaleShapleyResult result;
   while (!free_stack.empty()) {
     const NodeId p = free_stack.back();
-    const auto& pref = proposer_pref(p);
+    const PreferenceList pref = proposer_pref(p);
     if (next_rank[static_cast<std::size_t>(p)] >= pref.degree()) {
       free_stack.pop_back();  // exhausted: stays unmatched
       continue;
@@ -61,8 +61,8 @@ GaleShapleyResult gale_shapley(const Instance& inst) {
   const auto& g = inst.graph();
   return run_gs(
       inst.n_men(), inst.n_women(), g.node_count(),
-      [&](NodeId m) -> const PreferenceList& { return inst.man_pref(m); },
-      [&](NodeId w) -> const PreferenceList& { return inst.woman_pref(w); },
+      [&](NodeId m) { return inst.man_pref(m); },
+      [&](NodeId w) { return inst.woman_pref(w); },
       [&](NodeId m) { return g.man_id(m); },
       [&](NodeId w) { return g.woman_id(w); });
 }
@@ -71,8 +71,8 @@ GaleShapleyResult gale_shapley_woman_proposing(const Instance& inst) {
   const auto& g = inst.graph();
   return run_gs(
       inst.n_women(), inst.n_men(), g.node_count(),
-      [&](NodeId w) -> const PreferenceList& { return inst.woman_pref(w); },
-      [&](NodeId m) -> const PreferenceList& { return inst.man_pref(m); },
+      [&](NodeId w) { return inst.woman_pref(w); },
+      [&](NodeId m) { return inst.man_pref(m); },
       [&](NodeId w) { return g.woman_id(w); },
       [&](NodeId m) { return g.man_id(m); });
 }

@@ -1,13 +1,24 @@
 // A stable-marriage instance: symmetric preference lists for men and
 // women plus the communication graph they induce (§2.1).
 //
-// Since PR 8 the instance owns two PrefArenas (one per side) holding all
-// ranking storage in flat CSR buffers; man_pref/woman_pref hand out
-// non-owning PreferenceList views into them. The instance is move-only
-// for the same reason the arenas are: views point into arena heap
-// buffers, which moves preserve and copies would not.
+// The instance is four arrays over all n_men + n_women players, men
+// first, built once:
+//
+//   - `offsets`: player v's entries are [offsets[v], offsets[v + 1]);
+//   - the neighbour column: v's row of the communication graph, as
+//     ascending global ids — also v's partners sorted by id;
+//   - `ranked`: v's list in preference order, as opposite-side indices;
+//   - `rank`: aligned with the neighbour column, v's rank of each
+//     neighbour.
+//
+// The Graph owns the first two (graph().graph()), so a list costs 12 B
+// per entry and the instance 24 B per edge plus 8 B per player.
+// man_pref/woman_pref build a PreferenceList view over a player's slices
+// on demand. Views stay valid across moves of the instance, which is
+// move-only: a copy would leave them pointing into its source.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -18,22 +29,38 @@ namespace dasm {
 
 class Instance {
  public:
-  /// Validates symmetry: w appears on m's list iff m appears on w's list.
-  Instance(std::vector<Ranking> men, std::vector<Ranking> women);
+  /// The lists of all players in one CSR, men first: player v's list is
+  /// ranked[offsets[v], offsets[v + 1]), most preferred first, holding
+  /// opposite-side indices. Validates the ids (non-negative, in range,
+  /// distinct per list) and symmetry: w ranks m iff m ranks w.
+  Instance(NodeId n_men, NodeId n_women, std::vector<std::int64_t> offsets,
+           std::vector<NodeId> ranked);
 
-  NodeId n_men() const { return men_.size(); }
-  NodeId n_women() const { return women_.size(); }
+  /// The same from one Ranking per player.
+  Instance(const std::vector<Ranking>& men, const std::vector<Ranking>& women);
 
-  const PreferenceList& man_pref(NodeId m) const { return men_.list(m); }
-  const PreferenceList& woman_pref(NodeId w) const { return women_.list(w); }
+  NodeId n_men() const { return n_men_; }
+  NodeId n_women() const { return n_women_; }
 
-  /// Side-wide flat ranking storage; the svc digest and the certifier
-  /// stream these directly instead of re-walking lists.
-  const PrefArena& men_arena() const { return men_; }
-  const PrefArena& women_arena() const { return women_; }
+  PreferenceList man_pref(NodeId m) const {
+    DASM_CHECK(m >= 0 && m < n_men());
+    return list(m, n_women(), n_men());
+  }
+  PreferenceList woman_pref(NodeId w) const {
+    DASM_CHECK(w >= 0 && w < n_women());
+    return list(n_men() + w, n_men(), 0);
+  }
 
   /// Communication graph; man i has node id i, woman j id n_men + j.
   const BipartiteGraph& graph() const { return *graph_; }
+
+  /// Row starts of every per-player column (the graph's offsets).
+  const std::vector<std::int64_t>& offsets() const {
+    return graph_->graph().offsets();
+  }
+  /// Every list in preference order, men then women; the svc digest
+  /// streams it row by row.
+  const std::vector<NodeId>& ranked() const { return ranked_; }
 
   std::int64_t edge_count() const { return graph_->graph().edge_count(); }
 
@@ -46,9 +73,26 @@ class Instance {
   double regularity_alpha() const;
 
  private:
-  PrefArena men_;
-  PrefArena women_;
+  /// Player v's view; `universe` is the opposite side's size and `base`
+  /// the global id of its index 0.
+  PreferenceList list(NodeId v, NodeId universe, NodeId base) const {
+    const std::int64_t lo = offsets_[v];
+    return PreferenceList(ranked_.data() + lo, neighbors_ + lo,
+                          rank_.data() + lo,
+                          static_cast<NodeId>(offsets_[v + 1] - lo), universe,
+                          base);
+  }
+
+  // Heap-held so that its address, which Networks borrow, survives moves.
   std::unique_ptr<BipartiteGraph> graph_;
+  std::vector<NodeId> ranked_;
+  std::vector<NodeId> rank_;
+  // The graph's sizes and columns, cached for building views (a view is
+  // built per rank lookup in the certifier's inner loops).
+  NodeId n_men_ = 0;
+  NodeId n_women_ = 0;
+  const std::int64_t* offsets_ = nullptr;
+  const NodeId* neighbors_ = nullptr;
 };
 
 }  // namespace dasm

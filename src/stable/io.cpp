@@ -56,13 +56,11 @@ Ranking read_ranking_line(std::istream& is) {
   return ranked;
 }
 
-void write_side(std::ostream& os, char tag,
-                const std::vector<const PreferenceList*>& lists) {
-  for (std::size_t i = 0; i < lists.size(); ++i) {
-    os << tag << ' ' << i << " :";
-    for (NodeId u : lists[i]->ranked()) os << ' ' << u;
-    os << '\n';
-  }
+void write_list(std::ostream& os, char tag, NodeId i,
+                const PreferenceList& list) {
+  os << tag << ' ' << i << " :";
+  for (NodeId u : list.ranked()) os << ' ' << u;
+  os << '\n';
 }
 
 }  // namespace
@@ -70,14 +68,12 @@ void write_side(std::ostream& os, char tag,
 void save_instance(std::ostream& os, const Instance& inst) {
   os << "dasm-instance 1\n"
      << "men " << inst.n_men() << " women " << inst.n_women() << '\n';
-  std::vector<const PreferenceList*> men;
-  for (NodeId m = 0; m < inst.n_men(); ++m) men.push_back(&inst.man_pref(m));
-  write_side(os, 'm', men);
-  std::vector<const PreferenceList*> women;
-  for (NodeId w = 0; w < inst.n_women(); ++w) {
-    women.push_back(&inst.woman_pref(w));
+  for (NodeId m = 0; m < inst.n_men(); ++m) {
+    write_list(os, 'm', m, inst.man_pref(m));
   }
-  write_side(os, 'w', women);
+  for (NodeId w = 0; w < inst.n_women(); ++w) {
+    write_list(os, 'w', w, inst.woman_pref(w));
+  }
 }
 
 Instance load_instance(std::istream& is) {
@@ -156,18 +152,16 @@ Matching load_matching(std::istream& is, const Instance& inst) {
 
 Instance transpose(const Instance& inst) {
   std::vector<Ranking> men;
-  men.reserve(static_cast<std::size_t>(inst.n_women()));
   for (NodeId w = 0; w < inst.n_women(); ++w) {
-    const auto r = inst.woman_pref(w).ranked();
+    const RankedView r = inst.woman_pref(w).ranked();
     men.emplace_back(r.begin(), r.end());
   }
   std::vector<Ranking> women;
-  women.reserve(static_cast<std::size_t>(inst.n_men()));
   for (NodeId m = 0; m < inst.n_men(); ++m) {
-    const auto r = inst.man_pref(m).ranked();
+    const RankedView r = inst.man_pref(m).ranked();
     women.emplace_back(r.begin(), r.end());
   }
-  return Instance(std::move(men), std::move(women));
+  return Instance(men, women);
 }
 
 }  // namespace dasm

@@ -1,7 +1,5 @@
 #include "stable/preferences.hpp"
 
-#include <algorithm>
-
 namespace dasm {
 
 std::vector<NodeId> PreferenceList::quantile_members(NodeId q, NodeId k) const {
@@ -14,94 +12,6 @@ std::vector<NodeId> PreferenceList::quantile_members(NodeId q, NodeId k) const {
   const auto lo = (static_cast<std::int64_t>(q - 1) * d + kk - 1) / kk;
   const auto hi = (static_cast<std::int64_t>(q) * d + kk - 1) / kk;
   return std::vector<NodeId>(ranked_ + lo, ranked_ + hi);
-}
-
-namespace {
-
-// Dense inverse rows cost `universe` entries per list; worth it once the
-// list ranks at least a quarter of the opposite side.
-bool use_dense_row(std::int64_t degree, std::int64_t universe) {
-  return universe > 0 && degree * 4 >= universe;
-}
-
-}  // namespace
-
-PrefArena::PrefArena(std::vector<Ranking> rankings, NodeId universe,
-                     const char* role)
-    : universe_(universe) {
-  DASM_CHECK(universe >= 0);
-  const std::size_t n = rankings.size();
-  lists_.resize(n);
-  offsets_.resize(n + 1);
-
-  std::int64_t total = 0;
-  std::int64_t dense_total = 0;
-  std::int64_t sparse_total = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    offsets_[i] = total;
-    const auto deg = static_cast<std::int64_t>(rankings[i].size());
-    total += deg;
-    if (use_dense_row(deg, universe)) {
-      dense_total += universe;
-    } else {
-      sparse_total += deg;
-    }
-  }
-  offsets_[n] = total;
-
-  // Size everything up front: views point into these buffers, so they
-  // must never reallocate after this.
-  flat_.resize(static_cast<std::size_t>(total));
-  inv_dense_.assign(static_cast<std::size_t>(dense_total), kNoNode);
-  inv_sparse_.resize(static_cast<std::size_t>(sparse_total));
-
-  std::int64_t dense_at = 0;
-  std::int64_t sparse_at = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const Ranking& ranking = rankings[i];
-    const auto deg = static_cast<NodeId>(ranking.size());
-    NodeId* slice = flat_.data() + offsets_[i];
-    std::copy(ranking.begin(), ranking.end(), slice);
-
-    PreferenceList& list = lists_[i];
-    list.ranked_ = slice;
-    list.degree_ = deg;
-    list.universe_ = universe;
-
-    if (use_dense_row(deg, universe)) {
-      NodeId* row = inv_dense_.data() + dense_at;
-      dense_at += universe;
-      for (NodeId r = 0; r < deg; ++r) {
-        const NodeId u = slice[r];
-        DASM_CHECK_MSG(u >= 0, "negative partner id " << u);
-        DASM_CHECK_MSG(u < universe, role << " " << i
-                                          << " ranks out-of-range partner "
-                                          << u);
-        DASM_CHECK_MSG(row[u] == kNoNode, "partner " << u << " ranked twice");
-        row[u] = r;
-      }
-      list.inv_ = row;
-    } else {
-      RankEntry* row = inv_sparse_.data() + sparse_at;
-      sparse_at += deg;
-      for (NodeId r = 0; r < deg; ++r) {
-        const NodeId u = slice[r];
-        DASM_CHECK_MSG(u >= 0, "negative partner id " << u);
-        DASM_CHECK_MSG(u < universe, role << " " << i
-                                          << " ranks out-of-range partner "
-                                          << u);
-        row[r] = RankEntry{u, r};
-      }
-      std::sort(row, row + deg, [](const RankEntry& a, const RankEntry& b) {
-        return a.partner < b.partner;
-      });
-      for (NodeId r = 1; r < deg; ++r) {
-        DASM_CHECK_MSG(row[r - 1].partner != row[r].partner,
-                       "partner " << row[r].partner << " ranked twice");
-      }
-      list.sparse_ = row;
-    }
-  }
 }
 
 }  // namespace dasm

@@ -1,24 +1,21 @@
-// Preference lists and their quantization (§2.1, §3.1), stored in flat
-// instance-owned rank arenas.
+// Preference lists and their quantization (§2.1, §3.1).
 //
 // A PreferenceList is a strict ranking over a subset of the opposite side,
 // identified by 0-based opposite-side indices. Ranks are 0-based
 // internally; the paper's 1-based rank P^v(u) is rank_of(u) + 1.
 //
-// Since PR 8 a PreferenceList is a non-owning *view* into a PrefArena, the
-// side-wide owner of all ranking storage:
+// A PreferenceList is a by-value view, built on demand by Instance, into
+// the instance's three columns for one player (stable/instance.hpp):
 //
-//   - `ranked` arrays of every list on one side are concatenated CSR-style
-//     into one flat buffer (offsets give each list its slice);
-//   - each list additionally carries an inverse-rank index so rank_of /
-//     prefers / quantile_of are O(1) array reads instead of hash lookups:
-//     a dense row (partner -> rank, kNoNode elsewhere) when the list ranks
-//     a quarter or more of the opposite side, or a compact sorted
-//     (partner, rank) pair array binary-searched otherwise.
+//   - `ranked`: the list in preference order (opposite-side indices);
+//   - `sorted`: the player's row of the communication graph — the same
+//     partners as ascending global node ids;
+//   - `rank`:   aligned with `sorted`, the rank of each of those partners.
 //
-// The arena is movable (views hold pointers into heap buffers, which moves
-// preserve) but deliberately non-copyable — copying would leave the copied
-// views dangling into the source.
+// rank_of is one array read when the list ranks the whole opposite side
+// (its sorted row is then the identity), and a binary search over the
+// 4-byte sorted row otherwise. A view stays valid as long as its Instance
+// lives, across moves of the Instance.
 //
 // Quantization (§3.1): for k quantiles, partner u of a player with degree
 // d falls in quantile q(u) = floor(rank_of(u) * k / d) + 1 in {1, ..., k} —
@@ -36,15 +33,8 @@
 namespace dasm {
 
 /// A raw ranking: acceptable partners, most preferred first. The
-/// construction currency of instances and arenas.
+/// construction currency of instances.
 using Ranking = std::vector<NodeId>;
-
-/// Sparse inverse-rank entry: `partner` sits at 0-based `rank`. Arena rows
-/// are sorted by partner for binary search.
-struct RankEntry {
-  NodeId partner;
-  NodeId rank;
-};
 
 /// Lightweight view over one list's slice of the flat `ranked` buffer.
 /// Comparable against other views and against std::vector<NodeId>, which
@@ -91,23 +81,22 @@ class PreferenceList {
     return ranked_[r];
   }
 
-  /// 0-based rank of `partner`, or kNoNode if unranked. O(1) for dense
-  /// lists, O(log degree) for the sparse fallback.
+  /// 0-based rank of `partner`, or kNoNode if unranked. O(1) for a list
+  /// of the whole opposite side, O(log degree) otherwise.
   NodeId rank_of(NodeId partner) const {
-    if (inv_ != nullptr) {
-      if (partner < 0 || partner >= universe_) return kNoNode;
-      return inv_[partner];
-    }
+    if (partner < 0 || partner >= universe_) return kNoNode;
+    if (degree_ == universe_) return rank_[partner];
     if (degree_ == 0) return kNoNode;
-    // Branch-light lower_bound over the sorted (partner, rank) pairs.
-    const RankEntry* base = sparse_;
+    // Branch-light lower_bound over the sorted row of global ids.
+    const NodeId key = base_ + partner;
+    const NodeId* at = sorted_;
     NodeId len = degree_;
     while (len > 1) {
       const NodeId half = len / 2;
-      base += (base[half - 1].partner < partner) ? half : 0;
+      at += (at[half - 1] < key) ? half : 0;
       len -= half;
     }
-    return base->partner == partner ? base->rank : kNoNode;
+    return *at == key ? rank_[at - sorted_] : kNoNode;
   }
 
   bool contains(NodeId partner) const { return rank_of(partner) != kNoNode; }
@@ -154,59 +143,26 @@ class PreferenceList {
   }
 
  private:
-  friend class PrefArena;
+  friend class Instance;
 
-  const NodeId* ranked_ = nullptr;      // this list's slice of the flat buffer
+  /// `universe` is the opposite side's size and `base` the global node id
+  /// of its index 0.
+  PreferenceList(const NodeId* ranked, const NodeId* sorted,
+                 const NodeId* rank, NodeId degree, NodeId universe,
+                 NodeId base)
+      : ranked_(ranked),
+        sorted_(sorted),
+        rank_(rank),
+        degree_(degree),
+        universe_(universe),
+        base_(base) {}
+
+  const NodeId* ranked_ = nullptr;  // preference order
+  const NodeId* sorted_ = nullptr;  // ascending global ids
+  const NodeId* rank_ = nullptr;    // rank_[i]: rank of sorted_[i]
   NodeId degree_ = 0;
-  NodeId universe_ = 0;                 // opposite-side size (dense row width)
-  const NodeId* inv_ = nullptr;         // dense inverse row, or nullptr
-  const RankEntry* sparse_ = nullptr;   // sorted sparse row, or nullptr
-};
-
-/// Instance-owned storage for one side's preference lists: the flat CSR
-/// `ranked` concatenation plus per-list inverse-rank rows (dense or sparse;
-/// see file comment). Hands out stable PreferenceList views.
-class PrefArena {
- public:
-  PrefArena() = default;
-
-  /// `universe` is the opposite-side size: every ranked id must lie in
-  /// [0, universe). Validates non-negativity, range, and distinctness.
-  /// `role` names the owning side in diagnostics ("man", "hospital", ...).
-  PrefArena(std::vector<Ranking> rankings, NodeId universe,
-            const char* role = "player");
-
-  // Views hold raw pointers into the heap buffers below; moving the
-  // vectors preserves those buffers, copying would not.
-  PrefArena(PrefArena&&) noexcept = default;
-  PrefArena& operator=(PrefArena&&) noexcept = default;
-  PrefArena(const PrefArena&) = delete;
-  PrefArena& operator=(const PrefArena&) = delete;
-
-  NodeId size() const { return static_cast<NodeId>(lists_.size()); }
-  NodeId universe() const { return universe_; }
-
-  const PreferenceList& list(NodeId i) const {
-    DASM_CHECK(i >= 0 && i < size());
-    return lists_[static_cast<std::size_t>(i)];
-  }
-
-  /// Flat concatenation of every list's `ranked` array; list i owns
-  /// [offsets()[i], offsets()[i+1]). The svc digest streams this directly.
-  const std::vector<NodeId>& flat() const { return flat_; }
-  const std::vector<std::int64_t>& offsets() const { return offsets_; }
-
-  std::int64_t total_degree() const {
-    return offsets_.empty() ? 0 : offsets_.back();
-  }
-
- private:
-  std::vector<NodeId> flat_;            // CSR ranked concatenation
-  std::vector<std::int64_t> offsets_;   // size() + 1 entries
-  std::vector<NodeId> inv_dense_;       // concatenated dense inverse rows
-  std::vector<RankEntry> inv_sparse_;   // concatenated sparse inverse rows
-  std::vector<PreferenceList> lists_;
   NodeId universe_ = 0;
+  NodeId base_ = 0;
 };
 
 }  // namespace dasm

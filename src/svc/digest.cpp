@@ -5,23 +5,18 @@
 namespace dasm::svc {
 
 std::uint64_t digest_instance(const Instance& inst) {
-  // Streams each side's flat CSR arena directly: per list, its length then
-  // its ranked ids. This is byte-for-byte the canonical stream the
-  // per-list walk used to produce, so cache keys are stable across the
-  // representations.
+  // Per list, men then women: its length, then its ranked ids — the
+  // instance's ranked column read row by row. This is byte for byte the
+  // stream every earlier layout produced, so cache keys do not move.
   Fnv1a h;
   h.mix(static_cast<std::uint64_t>(inst.n_men()));
   h.mix(static_cast<std::uint64_t>(inst.n_women()));
-  for (const PrefArena* arena : {&inst.men_arena(), &inst.women_arena()}) {
-    const auto& offsets = arena->offsets();
-    const auto& flat = arena->flat();
-    for (NodeId i = 0; i < arena->size(); ++i) {
-      const auto lo = offsets[static_cast<std::size_t>(i)];
-      const auto hi = offsets[static_cast<std::size_t>(i) + 1];
-      h.mix(static_cast<std::uint64_t>(hi - lo));
-      for (std::int64_t j = lo; j < hi; ++j) {
-        h.mix(static_cast<std::uint64_t>(flat[static_cast<std::size_t>(j)]));
-      }
+  const std::vector<std::int64_t>& offsets = inst.offsets();
+  const std::vector<NodeId>& ranked = inst.ranked();
+  for (std::size_t v = 0; v + 1 < offsets.size(); ++v) {
+    h.mix(static_cast<std::uint64_t>(offsets[v + 1] - offsets[v]));
+    for (std::int64_t i = offsets[v]; i < offsets[v + 1]; ++i) {
+      h.mix(static_cast<std::uint64_t>(ranked[static_cast<std::size_t>(i)]));
     }
   }
   return h.digest();

@@ -66,6 +66,12 @@ Algo parse_algo(const std::string& tok) {
   return Algo::kAsm;
 }
 
+// The largest generation a declaration may ask for, in steps: exactly
+// i4096's n^2 Bernoulli draws, the largest instance of the benchmark
+// corpus. Above it one line could exhaust memory or hold the caller (the
+// server's poll thread) for long.
+constexpr std::int64_t kMaxGenerationWork = std::int64_t{1} << 24;
+
 }  // namespace
 
 Request parse_request(std::istream& is) {
@@ -222,20 +228,44 @@ Instance make_declared_instance(const RequestFile::InstanceDecl& decl) {
   DASM_CHECK(!decl.from_file);
   const NodeId n = decl.n;
   const std::uint64_t seed = decl.seed;
-  if (decl.family == "complete") return gen::complete_uniform(n, seed);
+  // `work` counts ids laid out or Bernoulli draws; it is checked before
+  // the generator runs.
+  const auto build = [&](std::int64_t work, auto&& generate) {
+    DASM_CHECK_MSG(work <= kMaxGenerationWork,
+                   "instance '" << decl.name << "': gen " << decl.family
+                                << ' ' << n << " needs " << work
+                                << " generation steps, above the limit of "
+                                << kMaxGenerationWork);
+    return generate();
+  };
+  const std::int64_t nn = static_cast<std::int64_t>(n) * n;
+  const auto n_times = [&](NodeId d) {
+    return static_cast<std::int64_t>(n) * std::min(n, d);
+  };
+  if (decl.family == "complete")
+    return build(nn, [&] { return gen::complete_uniform(n, seed); });
   if (decl.family == "incomplete") {
     const double p = std::min(1.0, 16.0 / static_cast<double>(n));
-    return gen::incomplete_uniform(n, n, p, seed);
+    return build(nn, [&] { return gen::incomplete_uniform(n, n, p, seed); });
   }
   if (decl.family == "regular")
-    return gen::regular_bipartite(n, std::min<NodeId>(n, 16), seed);
+    return build(n_times(16), [&] {
+      return gen::regular_bipartite(n, std::min<NodeId>(n, 16), seed);
+    });
   if (decl.family == "bounded")
-    return gen::bounded_degree(n, std::min<NodeId>(n, 8), seed);
+    return build(n_times(8), [&] {
+      return gen::bounded_degree(n, std::min<NodeId>(n, 8), seed);
+    });
   if (decl.family == "almost_regular")
-    return gen::almost_regular(n, std::max<NodeId>(1, 8),
-                               std::min<NodeId>(n, 24), seed);
-  if (decl.family == "master") return gen::master_list(n, n, seed);
-  if (decl.family == "chain") return gen::gs_displacement_chain(n);
+    return build(n_times(24), [&] {
+      return gen::almost_regular(n, std::max<NodeId>(1, 8),
+                                 std::min<NodeId>(n, 24), seed);
+    });
+  if (decl.family == "master")
+    return build(nn, [&] { return gen::master_list(n, n, seed); });
+  if (decl.family == "chain")
+    return build(2 * static_cast<std::int64_t>(n),
+                 [&] { return gen::gs_displacement_chain(n); });
   DASM_CHECK_MSG(false, "unknown instance family '" << decl.family << "'");
   return gen::complete_uniform(n, seed);
 }

@@ -119,7 +119,10 @@ RequestFile::InstanceDecl parse_instance_decl(std::istream& is);
 /// incomplete (p = min(1, 16/n)), regular (d = min(n, 16)), bounded
 /// (d = min(n, 8)), almost_regular, master, chain — the bench registry's
 /// conventions, so request files and experiment tables name the same
-/// shapes.
+/// shapes. Throws CheckError, before generating anything, for an unknown
+/// family or one whose generation would take more than 2^24 steps: n^2
+/// for complete, incomplete and master, n * d for regular, bounded and
+/// almost_regular (d = 16, 8 and 24), 2n for chain.
 Instance make_declared_instance(const RequestFile::InstanceDecl& decl);
 
 /// Writes the response log: header plus one line per response, in the

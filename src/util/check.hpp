@@ -4,18 +4,31 @@
 // input); DASM_DCHECK compiles out in release builds and guards expensive
 // internal assertions. Both throw dasm::CheckError so tests can assert on
 // violations instead of aborting the process.
+//
+// A CheckError carries two texts: what() is the full diagnostic (failed
+// condition, source file and line, message) for logs and the CLI's
+// stderr; message() is only the DASM_CHECK_MSG text, or "invalid input"
+// for a bare DASM_CHECK, and is what `dasm serve` sends a client.
 #pragma once
 
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 namespace dasm {
 
 /// Raised when a DASM_CHECK / DASM_DCHECK condition fails.
 class CheckError : public std::logic_error {
  public:
-  explicit CheckError(const std::string& what) : std::logic_error(what) {}
+  CheckError(const std::string& what, std::string message)
+      : std::logic_error(what), message_(std::move(message)) {}
+
+  /// The client-safe part: names no source file and no C++ expression.
+  const std::string& message() const { return message_; }
+
+ private:
+  std::string message_;
 };
 
 namespace detail {
@@ -25,7 +38,7 @@ namespace detail {
   std::ostringstream os;
   os << "check failed: " << expr << " at " << file << ":" << line;
   if (!msg.empty()) os << " — " << msg;
-  throw CheckError(os.str());
+  throw CheckError(os.str(), msg.empty() ? "invalid input" : msg);
 }
 
 }  // namespace detail

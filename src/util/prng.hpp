@@ -11,6 +11,7 @@
 #pragma once
 
 #include <array>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 
@@ -88,6 +89,18 @@ class Xoshiro256 {
 
   /// Bernoulli trial with success probability p.
   bool bernoulli(double p) { return uniform01() < p; }
+
+  /// The same trial as an integer comparison, for hot loops with a fixed
+  /// p in [0, 1]: bernoulli_below(bernoulli_threshold(p)) answers exactly
+  /// as bernoulli(p) does on every draw. The 53-bit value uniform01()
+  /// scales is exact in a double, and so is p * 2^53, so
+  /// k * 2^-53 < p  <=>  k < ceil(p * 2^53) for every integer k.
+  static std::uint64_t bernoulli_threshold(double p) {
+    return static_cast<std::uint64_t>(std::ceil(p * 0x1.0p53));
+  }
+  bool bernoulli_below(std::uint64_t threshold) {
+    return ((*this)() >> 11) < threshold;
+  }
 
   /// Fisher–Yates shuffle.
   template <typename Container>

@@ -110,12 +110,12 @@ TEST(ArenaVsMap, RankLookupsMatchOnRandomInstances) {
         }
       };
       check_side(inst.n_men(), inst.n_women(),
-                 [&](NodeId m) -> const PreferenceList& {
+                 [&](NodeId m) -> PreferenceList {
                    return inst.man_pref(m);
                  },
                  ri.men);
       check_side(inst.n_women(), inst.n_men(),
-                 [&](NodeId w) -> const PreferenceList& {
+                 [&](NodeId w) -> PreferenceList {
                    return inst.woman_pref(w);
                  },
                  ri.women);

@@ -60,9 +60,24 @@ TEST(GraphTest, QueriesValidateArguments) {
   EXPECT_FALSE(g.has_edge(-1, 0));
 }
 
+TEST(GraphTest, CsrRowsAreTheSortedNeighbourLists) {
+  Graph g(4, {{0, 3}, {2, 1}, {0, 1}});
+  const std::vector<std::int64_t> offsets = {0, 2, 4, 5, 6};
+  const std::vector<NodeId> adjacency = {1, 3, 0, 2, 1, 0};
+  EXPECT_EQ(g.offsets(), offsets);
+  EXPECT_EQ(g.adjacency(), adjacency);
+  // Adopting the same layout gives the same graph.
+  const Graph adopted(offsets, adjacency);
+  EXPECT_EQ(adopted.edges(), g.edges());
+  EXPECT_EQ(adopted.edge_count(), 3);
+  EXPECT_EQ(adopted.neighbors(1).data(), adopted.adjacency().data() + 2);
+  EXPECT_THROW(Graph({1, 2}, {0, 0}), CheckError);  // must start at 0
+  EXPECT_THROW(Graph({0, 2}, {0}), CheckError);     // must end at size
+}
+
 TEST(BipartiteGraphTest, IdMapping) {
   // 2 men, 3 women; man 0 ranks women 0 and 2, man 1 ranks woman 1.
-  BipartiteGraph bg(2, 3, {{0, 2}, {1}});
+  BipartiteGraph bg(2, 3, Graph(5, {{0, 2}, {0, 4}, {1, 3}}));
   EXPECT_EQ(bg.node_count(), 5);
   EXPECT_EQ(bg.man_id(1), 1);
   EXPECT_EQ(bg.woman_id(0), 2);
@@ -79,8 +94,11 @@ TEST(BipartiteGraphTest, IdMapping) {
 }
 
 TEST(BipartiteGraphTest, RejectsBadIndices) {
-  EXPECT_THROW(BipartiteGraph(1, 1, {{1}}), CheckError);  // woman 1 missing
-  BipartiteGraph bg(1, 1, {{0}});
+  // Too many nodes, a woman-woman edge, a man-man edge.
+  EXPECT_THROW(BipartiteGraph(1, 1, Graph(3, {{0, 2}})), CheckError);
+  EXPECT_THROW(BipartiteGraph(1, 2, Graph(3, {{1, 2}})), CheckError);
+  EXPECT_THROW(BipartiteGraph(2, 1, Graph(3, {{0, 1}})), CheckError);
+  BipartiteGraph bg(1, 1, Graph(2, {{0, 1}}));
   EXPECT_THROW(bg.man_id(1), CheckError);
   EXPECT_THROW(bg.woman_index(0), CheckError);  // id 0 is a man
 }

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "mm/runner.hpp"
+#include "stable/instance.hpp"
 #include "util/check.hpp"
 
 namespace dasm::core {
@@ -16,19 +17,18 @@ std::unique_ptr<mm::Node> greedy_node(NodeId id) {
 }
 
 // One man (node 0) who ranks two women (nodes 1, 2); both rank him back.
-// The arena owns both lists (players only keep views) and is declared
+// The instance owns every list (players only keep views) and is declared
 // first so the views handed to the player constructors are valid.
 struct Harness {
   Harness()
-      : arena(std::vector<Ranking>{{0, 1}, {0}}, /*universe=*/2, "test"),
-        graph(3, {{0, 1}, {0, 2}}),
-        net(graph),
-        man(0, arena.list(0), /*k=*/2, /*woman_id_offset=*/1, greedy_node(0)),
-        w0(1, arena.list(1), 2, greedy_node(1)),
-        w1(2, arena.list(1), 2, greedy_node(2)) {}
+      : inst({{0, 1}}, {{0}, {0}}),
+        net(inst.graph().graph()),
+        man(0, inst.man_pref(0), /*k=*/2, /*woman_id_offset=*/1,
+            greedy_node(0)),
+        w0(1, inst.woman_pref(0), 2, greedy_node(1)),
+        w1(2, inst.woman_pref(1), 2, greedy_node(2)) {}
 
-  PrefArena arena;
-  Graph graph;  // declared before net, which borrows it
+  Instance inst;  // declared before net, which borrows its graph
   Network net;
   ManPlayer man;
   WomanPlayer w0;
@@ -102,10 +102,9 @@ TEST(ManPlayerTest, ExhaustedManIsGood) {
 
 TEST(WomanPlayerTest, AcceptsBestProposingQuantile) {
   // Woman (node 2) ranks men 0 and 1; k = 2 so each is his own quantile.
-  PrefArena arena(std::vector<Ranking>{{0, 1}}, 2, "woman");
-  const Graph g(3, {{0, 2}, {1, 2}});
-  Network net(g);
-  WomanPlayer w(2, arena.list(0), 2, greedy_node(2));
+  const Instance inst({{0}, {0}}, {{0, 1}});
+  Network net(inst.graph().graph());
+  WomanPlayer w(2, inst.woman_pref(0), 2, greedy_node(2));
 
   net.begin_round();
   net.send(0, 2, Message{MsgType::kPropose});
@@ -122,10 +121,9 @@ TEST(WomanPlayerTest, AcceptsBestProposingQuantile) {
 
 TEST(WomanPlayerTest, AcceptsWholeQuantileWhenCoarse) {
   // k = 1: both men share quantile 1, so both get accepted.
-  PrefArena arena(std::vector<Ranking>{{0, 1}}, 2, "woman");
-  const Graph g(3, {{0, 2}, {1, 2}});
-  Network net(g);
-  WomanPlayer w(2, arena.list(0), 1, greedy_node(2));
+  const Instance inst({{0}, {0}}, {{0, 1}});
+  Network net(inst.graph().graph());
+  WomanPlayer w(2, inst.woman_pref(0), 1, greedy_node(2));
   net.begin_round();
   net.send(0, 2, Message{MsgType::kPropose});
   net.send(1, 2, Message{MsgType::kPropose});
@@ -138,10 +136,12 @@ TEST(WomanPlayerTest, AcceptsWholeQuantileWhenCoarse) {
 }
 
 TEST(WomanPlayerTest, ProposalFromUnrankedManIsAViolation) {
-  PrefArena arena(std::vector<Ranking>{{0}}, 2, "woman");
+  // She ranks only man 0; man 1 ranks nobody, but the network still
+  // carries his proposal.
+  const Instance inst({{0}, {}}, {{0}});
   const Graph g(3, {{0, 2}, {1, 2}});
   Network net(g);
-  WomanPlayer w(2, arena.list(0), 1, greedy_node(2));
+  WomanPlayer w(2, inst.woman_pref(0), 1, greedy_node(2));
   net.begin_round();
   net.send(1, 2, Message{MsgType::kPropose});  // man 1 is not on her list
   net.end_round();

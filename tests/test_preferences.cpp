@@ -2,23 +2,28 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/player.hpp"  // quantile_of_rank
+#include "stable/instance.hpp"
 #include "util/check.hpp"
 
 namespace dasm {
 namespace {
 
-// Lists in tests are views into a single-list arena; `universe` is the
-// opposite-side size the ids are drawn from.
-PrefArena make_arena(Ranking ranked, NodeId universe) {
-  std::vector<Ranking> rankings;
-  rankings.push_back(std::move(ranked));
-  return PrefArena(std::move(rankings), universe, "test");
+// The list under test is man 0's in a one-man instance: he ranks
+// `ranked` among `universe` women, and each woman he ranks ranks him back.
+Instance one_list(const Ranking& ranked, NodeId universe) {
+  std::vector<Ranking> women(static_cast<std::size_t>(universe));
+  for (NodeId w : ranked) {
+    if (w >= 0 && w < universe) women[static_cast<std::size_t>(w)].push_back(0);
+  }
+  return Instance({ranked}, women);
 }
 
 TEST(PreferenceListTest, RanksAndLookup) {
-  const PrefArena a = make_arena({4, 2, 7}, 10);
-  const PreferenceList& p = a.list(0);
+  const Instance inst = one_list({4, 2, 7}, 10);
+  const PreferenceList p = inst.man_pref(0);
   EXPECT_EQ(p.degree(), 3);
   EXPECT_FALSE(p.empty());
   EXPECT_EQ(p.at_rank(0), 4);
@@ -29,22 +34,25 @@ TEST(PreferenceListTest, RanksAndLookup) {
   EXPECT_FALSE(p.contains(0));
 }
 
-TEST(PreferenceListTest, SparseFallbackMatchesDense) {
-  // The same ranking through both inverse representations: a small
-  // universe forces the dense row, a huge one the sorted-pairs fallback.
-  const Ranking ranked = {4, 2, 7};
-  const PrefArena dense = make_arena(ranked, 8);
-  const PrefArena sparse = make_arena(ranked, 1000);
-  for (NodeId u = 0; u < 10; ++u) {
-    EXPECT_EQ(dense.list(0).rank_of(u), sparse.list(0).rank_of(u)) << u;
+TEST(PreferenceListTest, DirectAndSearchedLookupsAgree) {
+  // The same ranking through both lookups: over exactly its 8 women the
+  // list ranks the whole side and rank_of reads the rank column directly;
+  // among 1000 women it binary-searches the sorted row.
+  const Ranking ranked = {4, 2, 7, 0, 6, 1, 5, 3};
+  const Instance full = one_list(ranked, 8);
+  const Instance partial = one_list(ranked, 1000);
+  for (NodeId u = -3; u < 1003; ++u) {
+    const NodeId want = u >= 0 && u < 8 ? static_cast<NodeId>(
+        std::find(ranked.begin(), ranked.end(), u) - ranked.begin())
+                                        : kNoNode;
+    EXPECT_EQ(full.man_pref(0).rank_of(u), want) << u;
+    EXPECT_EQ(partial.man_pref(0).rank_of(u), want) << u;
   }
-  EXPECT_EQ(sparse.list(0).rank_of(999), kNoNode);
-  EXPECT_EQ(sparse.list(0).rank_of(-3), kNoNode);
 }
 
 TEST(PreferenceListTest, PrefersIsStrict) {
-  const PrefArena a = make_arena({4, 2, 7}, 100);
-  const PreferenceList& p = a.list(0);
+  const Instance inst = one_list({4, 2, 7}, 100);
+  const PreferenceList p = inst.man_pref(0);
   EXPECT_TRUE(p.prefers(4, 2));
   EXPECT_FALSE(p.prefers(2, 4));
   EXPECT_FALSE(p.prefers(2, 2));
@@ -52,21 +60,22 @@ TEST(PreferenceListTest, PrefersIsStrict) {
 }
 
 TEST(PreferenceListTest, UnmatchedConvention) {
-  const PrefArena a = make_arena({4, 2}, 5);
-  const PreferenceList& p = a.list(0);
+  const Instance inst = one_list({4, 2}, 5);
+  const PreferenceList p = inst.man_pref(0);
   EXPECT_TRUE(p.prefers_over_partner(2, kNoNode));
   EXPECT_TRUE(p.prefers_over_partner(4, 2));
   EXPECT_FALSE(p.prefers_over_partner(2, 4));
 }
 
 TEST(PreferenceListTest, RejectsDuplicatesAndNegatives) {
-  EXPECT_THROW(make_arena({1, 1}, 5), CheckError);
-  EXPECT_THROW(make_arena({0, -2}, 5), CheckError);
-  // Both representations must reject duplicates.
-  EXPECT_THROW(make_arena({1, 1}, 1000), CheckError);
-  EXPECT_THROW(make_arena({0, -2}, 1000), CheckError);
-  // Ids at or beyond the declared universe are invalid.
-  EXPECT_THROW(make_arena({5}, 5), CheckError);
+  EXPECT_THROW(one_list({1, 1}, 5), CheckError);
+  EXPECT_THROW(one_list({0, -2}, 5), CheckError);
+  // Whether or not the list could cover the whole side.
+  EXPECT_THROW(one_list({1, 1}, 1000), CheckError);
+  EXPECT_THROW(one_list({0, -2}, 1000), CheckError);
+  EXPECT_THROW(one_list({0, 1, 1}, 2), CheckError);
+  // Ids at or beyond the opposite side's size are invalid.
+  EXPECT_THROW(one_list({5}, 5), CheckError);
 }
 
 TEST(PreferenceListTest, EmptyList) {
@@ -77,35 +86,39 @@ TEST(PreferenceListTest, EmptyList) {
   EXPECT_THROW(p.at_rank(0), CheckError);
 }
 
-TEST(PrefArenaTest, FlatLayoutConcatenatesLists) {
-  std::vector<Ranking> rankings = {{2, 0}, {}, {1}};
-  const PrefArena a(std::move(rankings), 3, "test");
-  EXPECT_EQ(a.size(), 3);
-  EXPECT_EQ(a.universe(), 3);
-  EXPECT_EQ(a.total_degree(), 3);
-  const std::vector<NodeId> flat = {2, 0, 1};
-  EXPECT_EQ(a.flat(), flat);
-  const std::vector<std::int64_t> offsets = {0, 2, 2, 3};
-  EXPECT_EQ(a.offsets(), offsets);
-  EXPECT_TRUE(a.list(1).empty());
-  EXPECT_EQ(a.list(2).at_rank(0), 1);
-  EXPECT_THROW(a.list(3), CheckError);
+TEST(InstanceLayoutTest, ColumnsConcatenateLists) {
+  // Men's lists {2, 0}, {}, {1}; each woman ranks the men who rank her.
+  const Instance inst({{2, 0}, {}, {1}}, {{0}, {2}, {0}});
+  const std::vector<std::int64_t> offsets = {0, 2, 2, 3, 4, 5, 6};
+  EXPECT_EQ(inst.offsets(), offsets);
+  const std::vector<NodeId> ranked = {2, 0, 1, 0, 2, 0};
+  EXPECT_EQ(inst.ranked(), ranked);
+  // The graph's rows are the same lists, sorted, as global ids.
+  const std::vector<NodeId> adjacency = {3, 5, 4, 0, 2, 0};
+  EXPECT_EQ(inst.graph().graph().adjacency(), adjacency);
+  EXPECT_TRUE(inst.man_pref(1).empty());
+  EXPECT_EQ(inst.man_pref(0).rank_of(2), 0);
+  EXPECT_EQ(inst.man_pref(0).rank_of(0), 1);
+  EXPECT_EQ(inst.man_pref(2).at_rank(0), 1);
+  EXPECT_EQ(inst.woman_pref(1).rank_of(2), 0);
+  EXPECT_THROW(inst.man_pref(3), CheckError);
 }
 
-TEST(PrefArenaTest, ViewsSurviveMoves) {
-  PrefArena a = make_arena({3, 1, 4}, 6);
-  const PreferenceList* before = &a.list(0);
-  const NodeId* data_before = before->ranked().data();
-  PrefArena b = std::move(a);
-  EXPECT_EQ(b.list(0).ranked().data(), data_before);
-  EXPECT_EQ(b.list(0).rank_of(4), 2);
+TEST(InstanceLayoutTest, ViewsSurviveMoves) {
+  Instance a = one_list({3, 1, 4}, 6);
+  const PreferenceList before = a.man_pref(0);
+  const NodeId* data_before = before.ranked().data();
+  Instance b = std::move(a);
+  EXPECT_EQ(b.man_pref(0).ranked().data(), data_before);
+  EXPECT_EQ(b.man_pref(0).rank_of(4), 2);
+  EXPECT_EQ(before.rank_of(4), 2);
 }
 
 // ----------------------------------------------------------- quantization
 
 TEST(QuantileTest, SingletonQuantilesWhenKAtLeastDegree) {
-  const PrefArena a = make_arena({5, 6, 7}, 10);
-  const PreferenceList& p = a.list(0);
+  const Instance inst = one_list({5, 6, 7}, 10);
+  const PreferenceList p = inst.man_pref(0);
   for (NodeId k : {3, 4, 10}) {
     EXPECT_EQ(p.quantile_of(5, k), 1);
     EXPECT_GT(p.quantile_of(6, k), p.quantile_of(5, k));
@@ -114,8 +127,8 @@ TEST(QuantileTest, SingletonQuantilesWhenKAtLeastDegree) {
 }
 
 TEST(QuantileTest, SingleQuantileWhenKIsOne) {
-  const PrefArena a = make_arena({5, 6, 7, 8}, 10);
-  const PreferenceList& p = a.list(0);
+  const Instance inst = one_list({5, 6, 7, 8}, 10);
+  const PreferenceList p = inst.man_pref(0);
   for (NodeId u : p.ranked()) EXPECT_EQ(p.quantile_of(u, 1), 1);
 }
 
@@ -124,8 +137,8 @@ TEST(QuantileTest, BalancedSizes) {
   // monotone in rank.
   Ranking partners;
   for (NodeId i = 0; i < 10; ++i) partners.push_back(100 + i);
-  const PrefArena a = make_arena(std::move(partners), 200);
-  const PreferenceList& p = a.list(0);
+  const Instance inst = one_list(partners, 200);
+  const PreferenceList p = inst.man_pref(0);
   std::vector<int> size(4, 0);
   NodeId prev_q = 0;
   for (NodeId r = 0; r < 10; ++r) {
@@ -145,8 +158,8 @@ TEST(QuantileTest, BalancedSizes) {
 TEST(QuantileTest, MembersPartitionTheList) {
   Ranking partners;
   for (NodeId i = 0; i < 17; ++i) partners.push_back(i);
-  const PrefArena a = make_arena(std::move(partners), 17);
-  const PreferenceList& p = a.list(0);
+  const Instance inst = one_list(partners, 17);
+  const PreferenceList p = inst.man_pref(0);
   const NodeId k = 5;
   std::size_t total = 0;
   for (NodeId q = 1; q <= k; ++q) {
@@ -165,8 +178,8 @@ TEST(QuantileTest, MembersAreTheContiguousRankSlice) {
   for (NodeId d : {1, 2, 3, 7, 12, 17}) {
     Ranking partners;
     for (NodeId i = 0; i < d; ++i) partners.push_back(d - i - 1);
-    const PrefArena a = make_arena(std::move(partners), d);
-    const PreferenceList& p = a.list(0);
+    const Instance inst = one_list(partners, d);
+    const PreferenceList p = inst.man_pref(0);
     for (NodeId k : {1, 2, 3, 5, d, static_cast<NodeId>(d + 3)}) {
       for (NodeId q = 1; q <= k; ++q) {
         Ranking expected;
@@ -184,8 +197,8 @@ TEST(QuantileTest, MembersAreTheContiguousRankSlice) {
 TEST(QuantileTest, MatchesFreeFunction) {
   Ranking partners;
   for (NodeId i = 0; i < 23; ++i) partners.push_back(i);
-  const PrefArena a = make_arena(std::move(partners), 23);
-  const PreferenceList& p = a.list(0);
+  const Instance inst = one_list(partners, 23);
+  const PreferenceList p = inst.man_pref(0);
   for (NodeId k : {1, 2, 5, 23, 40}) {
     for (NodeId r = 0; r < 23; ++r) {
       EXPECT_EQ(p.quantile_of(p.at_rank(r), k),
@@ -195,8 +208,8 @@ TEST(QuantileTest, MatchesFreeFunction) {
 }
 
 TEST(QuantileTest, RejectsBadArguments) {
-  const PrefArena a = make_arena({1, 2}, 5);
-  const PreferenceList& p = a.list(0);
+  const Instance inst = one_list({1, 2}, 5);
+  const PreferenceList p = inst.man_pref(0);
   EXPECT_THROW(p.quantile_of(1, 0), CheckError);
   EXPECT_THROW(p.quantile_of(9, 2), CheckError);
   EXPECT_THROW(p.quantile_members(0, 2), CheckError);

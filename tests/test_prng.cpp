@@ -90,6 +90,33 @@ TEST(Prng, BernoulliMatchesProbability) {
   EXPECT_NEAR(static_cast<double>(hits) / kSamples, 0.3, 0.02);
 }
 
+TEST(Prng, IntegerBernoulliIsBitExact) {
+  const double ps[] = {0.0, 0x1.0p-53, 1.0 / 3.0, 16.0 / 4096.0,
+                       0.5, 1.0 - 0x1.0p-53, 1.0};
+  for (const double p : ps) {
+    const std::uint64_t t = Xoshiro256::bernoulli_threshold(p);
+    // Both sides of the threshold under the double form: the largest
+    // passing 53-bit value is t - 1, the smallest failing one is t.
+    if (t > 0) {
+      EXPECT_LT(static_cast<double>(t - 1) * 0x1.0p-53, p) << p;
+    }
+    if (t < (std::uint64_t{1} << 53)) {
+      EXPECT_FALSE(static_cast<double>(t) * 0x1.0p-53 < p) << p;
+    }
+    for (const std::uint64_t seed : {1, 2, 77}) {
+      Xoshiro256 as_double(seed);
+      Xoshiro256 as_integer(seed);
+      for (int i = 0; i < 20000; ++i) {
+        ASSERT_EQ(as_double.bernoulli(p), as_integer.bernoulli_below(t))
+            << "p=" << p << " seed=" << seed << " draw " << i;
+      }
+    }
+  }
+  EXPECT_EQ(Xoshiro256::bernoulli_threshold(0.0), 0u);
+  EXPECT_EQ(Xoshiro256::bernoulli_threshold(0x1.0p-53), 1u);
+  EXPECT_EQ(Xoshiro256::bernoulli_threshold(1.0), std::uint64_t{1} << 53);
+}
+
 TEST(Prng, ShuffleIsAPermutation) {
   Xoshiro256 rng(13);
   std::vector<int> v(100);

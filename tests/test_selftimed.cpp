@@ -173,7 +173,8 @@ Nodes make_contract_nodes(mm::Backend backend) {
   for (NodeId v = 0; v < g.node_count(); ++v) {
     nodes.push_back(mm::make_node(backend, /*seed=*/11, v, g.max_degree(),
                                   g.node_count()));
-    nodes.back()->reset(v, contract_left(v), g.neighbors(v));
+    const auto nb = g.neighbors(v);
+    nodes.back()->reset(v, contract_left(v), {nb.begin(), nb.end()});
   }
   return nodes;
 }
@@ -274,8 +275,9 @@ TEST(MmNodeContract, QuiescentStepsDrawNoRandomness) {
     probe_quiescent(stepped);
     for (Nodes* nodes : {&stepped, &untouched}) {
       for (NodeId v = 0; v < contract_graph().node_count(); ++v) {
-        (*nodes)[static_cast<std::size_t>(v)]->reset(
-            v, contract_left(v), contract_graph().neighbors(v));
+        const auto nb = contract_graph().neighbors(v);
+        (*nodes)[static_cast<std::size_t>(v)]->reset(v, contract_left(v),
+                                                     {nb.begin(), nb.end()});
       }
     }
     const std::vector<TraceEvent> again = step_all(stepped, 4);

@@ -554,12 +554,19 @@ TEST(ServeMalformed, BadLinesAnswerErrWithoutDesyncingTheStream) {
       {"request g asm eps 0.5 seed 1 drop 0.1\n", "retransmit-after"},
       {"request g rand-asm drop 0.05\n", "retransmit-after"},
       {"request g mm backend ii drop 0.1\n", "or iters"},
+      {"request g asm eps 2\n", "eps must be in (0, 1], got 2"},
+      {"instance u gen bogus 10 1\n", "unknown instance family 'bogus'"},
+      // Would lay out 4 * 10^10 ids on the poll thread; refused first.
+      {"instance big gen complete 200000 1\n", "above the limit"},
   };
   for (const auto& [line, want] : cases) {
     client.send_all(line);
     const std::string got = client.must_read_line();
     EXPECT_EQ(got.rfind("ERR ", 0), 0u) << got;
     EXPECT_NE(got.find(want), std::string::npos) << got;
+    // The client reads the message only: no C++ condition, no source path.
+    EXPECT_EQ(got.find("check failed"), std::string::npos) << got;
+    EXPECT_EQ(got.find(".cpp:"), std::string::npos) << got;
   }
   // The connection survived every bad line; a valid request still works
   // and gets per-connection sequence number 0 (ERR lines consume none).

@@ -66,6 +66,48 @@ TEST(SvcDigest, ParamsDigestsArePinned) {
   EXPECT_EQ(parse_request(is).params_digest(), 0xc8da0da0bb5ba8f6ULL);
 }
 
+TEST(SvcDigest, CorpusInstanceDigestsArePinned) {
+  // The twelve lines of servebench/corpus.txt and their instance digests
+  // and edge counts. Every generator must consume its random stream in the
+  // same order and every layout must stream the same canonical bytes, so
+  // these move only with a deliberate change to what an instance is.
+  struct Pin {
+    const char* line;
+    std::uint64_t digest;
+    std::int64_t edges;
+  };
+  const Pin pins[] = {
+      {"k48 gen complete 48 1", 0x3a32f68526e44a65ULL, 2304},
+      {"k64 gen complete 64 2", 0x1ecc7a83d3579485ULL, 4096},
+      {"k96 gen complete 96 3", 0x245c0ee1f3b864e5ULL, 9216},
+      {"i768 gen incomplete 768 4", 0xccdf45398fb9ca25ULL, 12597},
+      {"k384 gen complete 384 5", 0x745c2e47911db875ULL, 147456},
+      {"i4096 gen incomplete 4096 6", 0x8509c01ef5aeaec9ULL, 65612},
+      {"r4096 gen regular 4096 7", 0x6585decaf0909c91ULL, 65536},
+      {"b4096 gen bounded 4096 8", 0x9e142cdab81253b8ULL, 32741},
+      {"a4096 gen almost_regular 4096 9", 0x98b2c4ab4dce59abULL, 65290},
+      {"m640 gen master 640 10", 0xae86b7c8ba56b745ULL, 409600},
+      {"ch1024 gen chain 1024 11", 0xb3e9da0f5deb9ae6ULL, 2048},
+      {"i2048 gen incomplete 2048 12", 0x5717a9a46f49987cULL, 32892},
+  };
+  for (const Pin& pin : pins) {
+    std::istringstream is(pin.line);
+    const Instance inst = make_declared_instance(parse_instance_decl(is));
+    EXPECT_EQ(digest_instance(inst), pin.digest) << pin.line;
+    EXPECT_EQ(inst.edge_count(), pin.edges) << pin.line;
+  }
+  // The families the service does not declare, one instance each.
+  const Instance zipf = gen::zipf_popularity(256, 1.2, 5);
+  EXPECT_EQ(digest_instance(zipf), 0xa351d1dcab91c3e5ULL);
+  EXPECT_EQ(zipf.edge_count(), 65536);
+  const Instance knn = gen::geometric_knn(512, 8, 6);
+  EXPECT_EQ(digest_instance(knn), 0x601b3a2b381b1f71ULL);
+  EXPECT_EQ(knn.edge_count(), 4096);
+  const Instance window = gen::windowed_acquaintance(512, 8, 4, 7);
+  EXPECT_EQ(digest_instance(window), 0x3408beecca9eba30ULL);
+  EXPECT_EQ(window.edge_count(), 6616);
+}
+
 // ---------------------------------------------------------------------------
 // Store and cache
 
@@ -188,6 +230,33 @@ TEST(SvcRequestFile, RejectsMalformedInput) {
   EXPECT_NO_THROW(parse("dasm-requests 1\ninstance a gen complete 8 1\n"
                         "request a mm drop 0.1 iters 1\n"
                         "request a asm drop 0.1 retransmit-after 1\n"));
+}
+
+TEST(SvcRequestFile, OversizedDeclarationsAreRefusedBeforeGenerating) {
+  const auto declared = [](const char* line) {
+    std::istringstream is(line);
+    return make_declared_instance(parse_instance_decl(is));
+  };
+  // Each is above 2^24 steps (n^2, n * d or 2n); the first would lay out
+  // 4 * 10^10 ids. None may allocate anything before it is refused.
+  for (const char* line : {"a gen complete 200000 1",
+                           "a gen incomplete 4097 1",
+                           "a gen master 65536 1",
+                           "a gen regular 1048577 1",
+                           "a gen bounded 2097153 1",
+                           "a gen almost_regular 699051 1",
+                           "a gen chain 8388609 1"}) {
+    try {
+      declared(line);
+      ADD_FAILURE() << line << " was generated";
+    } catch (const CheckError& e) {
+      EXPECT_NE(e.message().find("above the limit"), std::string::npos)
+          << e.message();
+    }
+  }
+  EXPECT_THROW(declared("a gen bogus 8 1"), CheckError);
+  // The largest corpus line sits exactly at the limit.
+  EXPECT_EQ(declared("i4096 gen incomplete 4096 6").edge_count(), 65612);
 }
 
 // ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@
 #include "gen/generators.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
-#include "par/thread_pool.hpp"
+#include "par/sweep.hpp"
 #include "stable/instance.hpp"
 #include "util/check.hpp"
 #include "util/cli.hpp"
@@ -162,7 +162,7 @@ inline Instance make_family(const std::string& family, NodeId n,
     return gen::bounded_degree(n, std::min<NodeId>(n, 8), seed);
   if (family == "master") return gen::master_list(n, n, seed);
   if (family == "almost_regular")
-    return gen::almost_regular(n, std::max<NodeId>(1, 8),
+    return gen::almost_regular(n, std::min<NodeId>(n, 8),
                                std::min<NodeId>(n, 24), seed);
   if (family == "chain") return gen::gs_displacement_chain(n);
   if (family == "zipf") return gen::zipf_popularity(n, 1.5, seed);

@@ -27,9 +27,9 @@ if [ "${1:-}" = "--check" ]; then
   # The observability suite (recorder, exporters, determinism) by label,
   # so a filter change in the preset cannot silently drop it.
   ctest --test-dir build-asan -L obs --output-on-failure -j "$jobs"
-  # Sanitizer gate 2: the one parallel layer (thread pool, sweep runner,
-  # service batches) runs under TSan; the preset filters to the suites
-  # that drive every multi-threaded code path.
+  # Sanitizer gate 2: the one parallel layer (the sweep runner and the
+  # service batches on it) runs under TSan; the preset filters to the
+  # suites that drive every multi-threaded code path.
   cmake --preset tsan
   cmake --build --preset tsan
   ctest --preset tsan -j "$jobs"
@@ -84,28 +84,18 @@ EOF
     python3 -m json.tool "$smoke/a10.json" >/dev/null
   fi
   echo "bench_a10 smoke OK"
-  # Metrics smoke (ISSUE 9): a run emits a JSONL metrics snapshot that a
-  # real JSON parser accepts, `dasm-trace metrics` summarizes it, `diff`
-  # exits 0 on a self-compare and nonzero on a genuinely regressed
-  # candidate (a larger instance inflates every logical metric), and the
-  # batch path writes a snapshot too.
+  # Metrics smoke: a run emits a JSONL metrics snapshot that a real JSON
+  # parser accepts, `dasm-trace metrics` summarizes it, and the batch path
+  # writes a snapshot too. (A run's logical metrics are gated against a
+  # committed file by the cli_run_metrics_golden ctest of both presets.)
   build/tools/dasm run --algo asm --family complete --n 24 \
     --metrics-out "$smoke/m_base.jsonl" >/dev/null
-  build/tools/dasm run --algo asm --family complete --n 48 \
-    --metrics-out "$smoke/m_reg.jsonl" >/dev/null
   if command -v python3 >/dev/null 2>&1; then
     python3 -c 'import json,sys
 for line in open(sys.argv[1]):
     json.loads(line)' "$smoke/m_base.jsonl"
   fi
   build/tools/dasm-trace metrics "$smoke/m_base.jsonl" >/dev/null
-  build/tools/dasm-trace diff "$smoke/m_base.jsonl" "$smoke/m_base.jsonl" \
-    >/dev/null
-  if build/tools/dasm-trace diff "$smoke/m_base.jsonl" "$smoke/m_reg.jsonl" \
-    --threshold 10 >/dev/null; then
-    echo "metrics diff gate failed to flag a regressed candidate" >&2
-    exit 1
-  fi
   build/tools/dasm batch --requests "$smoke/reqs.txt" \
     --out "$smoke/resp_m.txt" --metrics-out "$smoke/m_svc.jsonl" >/dev/null
   build/tools/dasm-trace metrics "$smoke/m_svc.jsonl" >/dev/null

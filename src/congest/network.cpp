@@ -63,20 +63,16 @@ int default_bit_budget(std::size_t n) {
 }  // namespace
 
 Network::Network(const Graph& graph, int message_bit_budget)
-    : graph_(&graph) {
+    : graph_(&graph), slot_offset_(graph.offsets().data()) {
   const auto n = static_cast<std::size_t>(graph.node_count());
   bit_budget_ = message_bit_budget > 0 ? message_bit_budget
                                        : default_bit_budget(n);
   // Size the delivery arenas once: node v receives at most one message per
-  // in-edge per round, so its inbox fits in deg(v) slots forever.
-  slot_offset_.resize(n + 1, 0);
-  for (std::size_t v = 0; v < n; ++v) {
-    slot_offset_[v + 1] =
-        slot_offset_[v] + graph.neighbors(static_cast<NodeId>(v)).size();
-  }
+  // in-edge per round, so its inbox fits in its deg(v) adjacency slots
+  // forever.
   for (Arena& a : arenas_) {
-    a.slots.reset(static_cast<Envelope*>(
-        ::operator new(slot_offset_[n] * sizeof(Envelope))));
+    a.slots.reset(static_cast<Envelope*>(::operator new(
+        static_cast<std::size_t>(slot_offset_[n]) * sizeof(Envelope))));
     a.fill.assign(n, 0);
     a.dirty.reserve(n);
   }
@@ -84,7 +80,8 @@ Network::Network(const Graph& graph, int message_bit_budget)
   port_offset_.resize(n + 1, 0);
   port_mask_.resize(n, 0);
   for (std::size_t v = 0; v < n; ++v) {
-    const std::size_t degree = slot_offset_[v + 1] - slot_offset_[v];
+    const auto degree =
+        static_cast<std::size_t>(slot_offset_[v + 1] - slot_offset_[v]);
     std::size_t cap = 2;
     while (cap < 2 * degree) cap *= 2;
     port_mask_[v] = static_cast<std::uint32_t>(cap - 1);
@@ -155,7 +152,7 @@ void Network::send(NodeId from, NodeId to, const Message& msg) {
   if (fill == 0) out.dirty.push_back(to);
   // The per-edge stamp above guarantees fill < deg(to), i.e. the slot
   // range never overflows.
-  out.slots[slot_offset_[static_cast<std::size_t>(to)] +
+  out.slots[static_cast<std::size_t>(slot_offset_[to]) +
             static_cast<std::size_t>(fill)] = Envelope{from, msg};
   ++fill;
   ++stats_.delivered;
@@ -547,7 +544,7 @@ InboxView Network::inbox(NodeId v) const {
   }
   const Arena& in = arenas_[delivered_];
   const auto sv = static_cast<std::size_t>(v);
-  return InboxView{in.slots.get() + slot_offset_[sv],
+  return InboxView{in.slots.get() + slot_offset_[v],
                    static_cast<std::size_t>(in.fill[sv])};
 }
 

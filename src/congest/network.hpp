@@ -285,8 +285,10 @@ class Network {
     Envelope env;
   };
 
-  const Graph* graph_;                    // borrowed; sorted neighbour lists
-  std::vector<std::size_t> slot_offset_;  // CSR offsets, size n + 1
+  const Graph* graph_;  // borrowed; sorted neighbour lists
+  // The Graph's CSR offsets, borrowed with it: v's inbox is slots
+  // [slot_offset_[v], slot_offset_[v + 1]) of each arena.
+  const std::int64_t* slot_offset_;
   std::array<Arena, 2> arenas_;
   int delivered_ = 0;  // arenas_[delivered_] is readable; the other fills
   // Per-node open-addressing set of neighbours, flattened into shared

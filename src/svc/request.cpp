@@ -36,17 +36,11 @@ Int parse_int(const std::string& tok, const char* what) {
   return *v;
 }
 
-double parse_double(const std::string& tok, const char* what) {
-  std::size_t used = 0;
-  double v = 0.0;
-  try {
-    v = std::stod(tok, &used);
-  } catch (const std::exception&) {
-    used = 0;
-  }
-  DASM_CHECK_MSG(used == tok.size() && !tok.empty(),
-                 "expected " << what << ", got '" << tok << "'");
-  return v;
+double parse_number(const std::string& tok, const char* what) {
+  const std::optional<double> v = parse_double(tok);
+  DASM_CHECK_MSG(v.has_value(), "expected " << what << " (a number), got '"
+                                            << tok << "'");
+  return *v;
 }
 
 mm::Backend parse_backend(const std::string& tok) {
@@ -74,6 +68,48 @@ constexpr std::int64_t kMaxGenerationWork = std::int64_t{1} << 24;
 
 }  // namespace
 
+void set_request_key(Request& req, const std::string& key,
+                     const std::string& value) {
+  if (key == "eps") {
+    req.epsilon = parse_number(value, "eps");
+    DASM_CHECK_MSG(req.epsilon > 0.0 && req.epsilon <= 1.0,
+                   "eps must be in (0, 1], got " << req.epsilon);
+  } else if (key == "seed") {
+    req.seed = parse_int<std::uint64_t>(value, "seed");
+  } else if (key == "backend") {
+    req.backend = parse_backend(value);
+  } else if (key == "max-rounds") {
+    req.max_rounds = parse_int<std::int64_t>(value, "max-rounds");
+    DASM_CHECK_MSG(req.max_rounds >= 0, "max-rounds must be >= 0");
+  } else if (key == "iters") {
+    req.mm_iterations = parse_int<int>(value, "iters");
+    DASM_CHECK_MSG(req.mm_iterations >= 0, "iters must be >= 0");
+  } else if (key == "drop") {
+    req.fault_plan.drop = parse_number(value, "drop");
+  } else if (key == "fault-seed") {
+    req.fault_plan.seed = parse_int<std::uint64_t>(value, "fault-seed");
+  } else if (key == "retransmit-after") {
+    req.retransmit_after = parse_int<int>(value, "retransmit-after");
+    DASM_CHECK_MSG(req.retransmit_after >= 0, "retransmit-after must be >= 0");
+  } else if (key == "max-retransmits") {
+    req.max_retransmits = parse_int<int>(value, "max-retransmits");
+    DASM_CHECK_MSG(req.max_retransmits >= 1, "max-retransmits must be >= 1");
+  } else {
+    DASM_CHECK_MSG(false, "unknown request key '" << key << "'");
+  }
+}
+
+void check_request(const Request& req) {
+  req.fault_plan.validate();
+  // Raw loss (faults without the reliability sublayer) aborts asm and
+  // rand-asm, and can keep an mm run without an iteration budget from
+  // ever ending.
+  DASM_CHECK_MSG(!req.fault_plan.active() || req.retransmit_after >= 1 ||
+                     (req.algo == Algo::kMm && req.mm_iterations >= 1),
+                 "drop needs retransmit-after >= 1"
+                     << (req.algo == Algo::kMm ? " or iters >= 1" : ""));
+}
+
 Request parse_request(std::istream& is) {
   Request req;
   req.instance = next_token(is, "instance name");
@@ -86,43 +122,9 @@ Request parse_request(std::istream& is) {
     std::string value;
     DASM_CHECK_MSG(static_cast<bool>(ls >> value),
                    "request key '" << key << "' is missing its value");
-    if (key == "eps") {
-      req.epsilon = parse_double(value, "eps");
-      DASM_CHECK_MSG(req.epsilon > 0.0 && req.epsilon <= 1.0,
-                     "eps must be in (0, 1], got " << req.epsilon);
-    } else if (key == "seed") {
-      req.seed = parse_int<std::uint64_t>(value, "seed");
-    } else if (key == "backend") {
-      req.backend = parse_backend(value);
-    } else if (key == "max-rounds") {
-      req.max_rounds = parse_int<std::int64_t>(value, "max-rounds");
-      DASM_CHECK_MSG(req.max_rounds >= 0, "max-rounds must be >= 0");
-    } else if (key == "iters") {
-      req.mm_iterations = parse_int<int>(value, "iters");
-      DASM_CHECK_MSG(req.mm_iterations >= 0, "iters must be >= 0");
-    } else if (key == "drop") {
-      req.fault_plan.drop = parse_double(value, "drop");
-    } else if (key == "fault-seed") {
-      req.fault_plan.seed = parse_int<std::uint64_t>(value, "fault-seed");
-    } else if (key == "retransmit-after") {
-      req.retransmit_after = parse_int<int>(value, "retransmit-after");
-      DASM_CHECK_MSG(req.retransmit_after >= 0,
-                     "retransmit-after must be >= 0");
-    } else if (key == "max-retransmits") {
-      req.max_retransmits = parse_int<int>(value, "max-retransmits");
-      DASM_CHECK_MSG(req.max_retransmits >= 1, "max-retransmits must be >= 1");
-    } else {
-      DASM_CHECK_MSG(false, "unknown request key '" << key << "'");
-    }
+    set_request_key(req, key, value);
   }
-  req.fault_plan.validate();
-  // Raw loss (faults without the reliability sublayer) aborts asm and
-  // rand-asm, and can keep an mm run without an iteration budget from
-  // ever ending.
-  DASM_CHECK_MSG(!req.fault_plan.active() || req.retransmit_after >= 1 ||
-                     (req.algo == Algo::kMm && req.mm_iterations >= 1),
-                 "drop needs retransmit-after >= 1"
-                     << (req.algo == Algo::kMm ? " or iters >= 1" : ""));
+  check_request(req);
   return req;
 }
 
@@ -258,7 +260,7 @@ Instance make_declared_instance(const RequestFile::InstanceDecl& decl) {
     });
   if (decl.family == "almost_regular")
     return build(n_times(24), [&] {
-      return gen::almost_regular(n, std::max<NodeId>(1, 8),
+      return gen::almost_regular(n, std::min<NodeId>(n, 8),
                                  std::min<NodeId>(n, 24), seed);
     });
   if (decl.family == "master")

@@ -105,11 +105,23 @@ RequestFile load_requests(std::istream& is);
 RequestFile load_requests_file(const std::string& path);
 
 /// Parses the body of a `request` line — everything after the `request`
-/// keyword (instance name, algo, key-value tail up to end-of-line).
-/// Throws CheckError with a diagnostic on malformed input. Instance-name
-/// resolution is the caller's job: the file loader checks the declared
-/// set, the TCP front end (src/net/) the live InstanceStore.
+/// keyword (instance name, algo, key-value tail up to end-of-line):
+/// set_request_key for each pair, then check_request. Throws CheckError
+/// with a diagnostic on malformed input. Instance-name resolution is the
+/// caller's job: the file loader checks the declared set, the TCP front
+/// end (src/net/) the live InstanceStore.
 Request parse_request(std::istream& is);
+
+/// Applies one key-value pair of a request line to `request`, with that
+/// key's own checks (eps in (0, 1], backend det|ii|rp, ...). `dasm run`
+/// feeds its flags of the same names through here, so the CLI and the
+/// wire accept the same values.
+void set_request_key(Request& request, const std::string& key,
+                     const std::string& value);
+
+/// The checks that need the whole request, run once every key is set:
+/// FaultPlan::validate() and the raw-loss rule above.
+void check_request(const Request& request);
 
 /// Parses the body of an `instance` line — everything after the
 /// `instance` keyword. Duplicate-name policy is the caller's job.
@@ -117,12 +129,13 @@ RequestFile::InstanceDecl parse_instance_decl(std::istream& is);
 
 /// Materializes a generated-instance declaration. Families: complete,
 /// incomplete (p = min(1, 16/n)), regular (d = min(n, 16)), bounded
-/// (d = min(n, 8)), almost_regular, master, chain — the bench registry's
-/// conventions, so request files and experiment tables name the same
-/// shapes. Throws CheckError, before generating anything, for an unknown
-/// family or one whose generation would take more than 2^24 steps: n^2
-/// for complete, incomplete and master, n * d for regular, bounded and
-/// almost_regular (d = 16, 8 and 24), 2n for chain.
+/// (d = min(n, 8)), almost_regular (degrees min(n, 8) to min(n, 24)),
+/// master, chain — the bench registry's conventions, so request files
+/// and experiment tables name the same shapes. Throws CheckError, before
+/// generating anything, for an unknown family or one whose generation
+/// would take more than 2^24 steps: n^2 for complete, incomplete and
+/// master, n * d for regular, bounded and almost_regular (d = 16, 8 and
+/// 24), 2n for chain.
 Instance make_declared_instance(const RequestFile::InstanceDecl& decl);
 
 /// Writes the response log: header plus one line per response, in the

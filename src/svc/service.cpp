@@ -12,6 +12,39 @@
 
 namespace dasm::svc {
 
+core::AsmParams asm_params(const Request& request) {
+  core::AsmParams params;
+  params.epsilon = request.epsilon;
+  params.seed = request.seed;
+  params.mm_backend = request.backend;
+  params.max_rounds = request.max_rounds;
+  params.fault_plan = request.fault_plan;
+  params.retransmit_after = request.retransmit_after;
+  params.max_retransmits = request.max_retransmits;
+  return params;
+}
+
+core::RandAsmParams rand_asm_params(const Request& request) {
+  core::RandAsmParams params;
+  params.epsilon = request.epsilon;
+  params.seed = request.seed;
+  params.fault_plan = request.fault_plan;
+  params.retransmit_after = request.retransmit_after;
+  params.max_retransmits = request.max_retransmits;
+  return params;
+}
+
+mm::RunConfig mm_config(const Request& request) {
+  mm::RunConfig config;
+  config.backend = request.backend;
+  config.seed = request.seed;
+  config.max_iterations = request.mm_iterations;
+  config.fault_plan = request.fault_plan;
+  config.retransmit_after = request.retransmit_after;
+  config.max_retransmits = request.max_retransmits;
+  return config;
+}
+
 Response execute_request(const StoredInstance& inst, const Request& request) {
   Response resp;
   resp.id = -1;
@@ -19,64 +52,30 @@ Response execute_request(const StoredInstance& inst, const Request& request) {
   resp.algo = request.algo;
   resp.key = CacheKey{inst.digest, request.params_digest()};
 
-  const auto fill_net = [&resp](const NetStats& net) {
-    resp.rounds = net.executed_rounds;
-    resp.messages = net.messages;
-    resp.bits = net.bits;
-  };
-
-  switch (request.algo) {
-    case Algo::kAsm: {
-      core::AsmParams params;
-      params.epsilon = request.epsilon;
-      params.seed = request.seed;
-      params.mm_backend = request.backend;
-      params.max_rounds = request.max_rounds;
-      params.fault_plan = request.fault_plan;
-      params.retransmit_after = request.retransmit_after;
-      params.max_retransmits = request.max_retransmits;
-      params.threads = 1;
-      const core::AsmResult r = core::run_asm(inst.instance, params);
-      resp.matched = r.matching.size();
-      resp.blocking = count_blocking_pairs(inst.instance, r.matching);
-      fill_net(r.net);
-      break;
+  NetStats net;
+  if (request.algo == Algo::kMm) {
+    const Graph& g = inst.instance.graph().graph();
+    std::vector<bool> is_left(static_cast<std::size_t>(g.node_count()));
+    for (NodeId v = 0; v < inst.instance.n_men(); ++v) {
+      is_left[static_cast<std::size_t>(v)] = true;
     }
-    case Algo::kRandAsm: {
-      core::RandAsmParams params;
-      params.epsilon = request.epsilon;
-      params.seed = request.seed;
-      params.fault_plan = request.fault_plan;
-      params.retransmit_after = request.retransmit_after;
-      params.max_retransmits = request.max_retransmits;
-      params.threads = 1;
-      const core::AsmResult r = core::run_rand_asm(inst.instance, params);
-      resp.matched = r.matching.size();
-      resp.blocking = count_blocking_pairs(inst.instance, r.matching);
-      fill_net(r.net);
-      break;
-    }
-    case Algo::kMm: {
-      const Graph& g = inst.instance.graph().graph();
-      std::vector<bool> is_left(static_cast<std::size_t>(g.node_count()));
-      for (NodeId v = 0; v < inst.instance.n_men(); ++v) {
-        is_left[static_cast<std::size_t>(v)] = true;
-      }
-      mm::RunConfig config;
-      config.backend = request.backend;
-      config.seed = request.seed;
-      config.max_iterations = request.mm_iterations;
-      config.fault_plan = request.fault_plan;
-      config.retransmit_after = request.retransmit_after;
-      config.max_retransmits = request.max_retransmits;
-      config.threads = 1;
-      const mm::RunResult r = mm::run_maximal_matching(g, is_left, config);
-      resp.matched = r.matching.size();
-      resp.maximal = r.maximal ? 1 : 0;
-      fill_net(r.net);
-      break;
-    }
+    const mm::RunResult r =
+        mm::run_maximal_matching(g, is_left, mm_config(request));
+    resp.matched = r.matching.size();
+    resp.maximal = r.maximal ? 1 : 0;
+    net = r.net;
+  } else {
+    const core::AsmResult r =
+        request.algo == Algo::kAsm
+            ? core::run_asm(inst.instance, asm_params(request))
+            : core::run_rand_asm(inst.instance, rand_asm_params(request));
+    resp.matched = r.matching.size();
+    resp.blocking = count_blocking_pairs(inst.instance, r.matching);
+    net = r.net;
   }
+  resp.rounds = net.executed_rounds;
+  resp.messages = net.messages;
+  resp.bits = net.bits;
   return resp;
 }
 
@@ -145,14 +144,6 @@ std::int64_t MatchService::run_batch() {
   std::vector<const Pending*> cells;
   for (std::size_t i = 0; i < batch.size(); ++i) {
     Plan& plan = plans[i];
-    if (!config_.cache_results) {
-      // Cache off: every request is its own cell (the naive-loop shape,
-      // just packed onto the pool).
-      plan.cell = static_cast<std::int64_t>(cells.size());
-      plan.owns_cell = true;
-      cells.push_back(&batch[i]);
-      continue;
-    }
     if (cache_.lookup(batch[i].key, &plan.cached_payload)) {
       plan.cached = true;
       continue;
@@ -166,7 +157,7 @@ std::int64_t MatchService::run_batch() {
     }
   }
 
-  // Execute the distinct cells across the sweep pool. Slot i only ever
+  // Execute the distinct cells on the SweepRunner. Slot i only ever
   // holds cell i's result and its own execution time, so the commit below
   // is order-independent, and the registry is written only here, on the
   // thread that called run_batch(), after the sweep.
@@ -212,8 +203,7 @@ std::int64_t MatchService::run_batch() {
               commit_time - batch[i].submitted)
               .count());
     }
-    const bool paid = plan.owns_cell || !config_.cache_results;
-    if (paid) {
+    if (plan.owns_cell) {
       ++stats_.cache_misses;
       m_misses_.inc();
       ++stats_.executed_runs;
@@ -224,13 +214,13 @@ std::int64_t MatchService::run_batch() {
       m_hits_.inc();
     }
     rec_.begin_span(obs::Phase::kSvcRequest, resp.id, svc_net_);
-    if (paid) {
+    if (plan.owns_cell) {
       svc_net_.messages += resp.messages;
       svc_net_.bits += resp.bits;
       svc_net_.delivered += resp.messages;
     }
     rec_.end_span(obs::Phase::kSvcRequest, resp.id, svc_net_);
-    if (plan.owns_cell && config_.cache_results) {
+    if (plan.owns_cell) {
       Response cached = resp;
       cached.id = -1;  // the payload is key-addressed; arrival ids are not
       cache_.insert(batch[i].key, cached);

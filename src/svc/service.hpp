@@ -2,7 +2,7 @@
 // engines — a bounded request queue with admission control, a
 // register-once InstanceStore, a ResultCache keyed on canonical digests,
 // and a deterministic batch scheduler that packs pending requests onto the
-// PR-2 SweepRunner and commits responses in request-arrival order.
+// SweepRunner (src/par/) and commits responses in request-arrival order.
 //
 // Determinism contract (DESIGN.md §6/§9): the response log and the
 // exported obs trace are a pure function of (submitted requests, their
@@ -34,6 +34,9 @@
 #include <vector>
 
 #include "congest/network.hpp"
+#include "core/params.hpp"
+#include "core/rand_asm.hpp"
+#include "mm/runner.hpp"
 #include "obs/trace.hpp"
 #include "par/sweep.hpp"
 #include "svc/instance_store.hpp"
@@ -50,9 +53,6 @@ struct SvcConfig {
   /// Admission control: pending requests beyond this are shed. Must be
   /// >= 1.
   std::size_t queue_capacity = 1024;
-  /// Serve repeated keys from the ResultCache. Disabling re-executes
-  /// every request (the naive baseline bench_a9 measures against).
-  bool cache_results = true;
   /// Observability sink (src/obs/): when set, the service records a
   /// kSvcBatch span per batch, a kSvcRequest span per committed response
   /// (in arrival order; span traffic = the protocol messages that request
@@ -162,6 +162,14 @@ class MatchService {
   obs::HistogramHandle m_queue_wait_us_;   // submit -> commit, per request
   obs::HistogramHandle m_execute_us_;      // per executed cell, on workers
 };
+
+/// The engine parameters a request runs with: the one mapping from the
+/// request grammar to the engines, used by execute_request and by `dasm
+/// run` (which adds what only it sets, such as --mimic-gs and a metrics
+/// registry). Fields a request does not name keep their defaults.
+core::AsmParams asm_params(const Request& request);
+core::RandAsmParams rand_asm_params(const Request& request);
+mm::RunConfig mm_config(const Request& request);
 
 /// Executes one request against a stored instance — the same code path
 /// whether called from a batch cell or from a naive per-request loop

@@ -1,9 +1,9 @@
 #include "util/cli.hpp"
 
-#include <cstdlib>
-#include <stdexcept>
+#include <optional>
 
 #include "util/check.hpp"
+#include "util/parse.hpp"
 
 namespace dasm {
 
@@ -46,25 +46,20 @@ std::int64_t Cli::get_int(const std::string& name,
                           std::int64_t fallback) const {
   auto it = flags_.find(name);
   if (it == flags_.end()) return fallback;
-  try {
-    return std::stoll(it->second);
-  } catch (const std::exception&) {
-    DASM_CHECK_MSG(false, "flag --" << name << " expects an integer, got '"
-                                    << it->second << "'");
-  }
-  return fallback;  // unreachable
+  const std::optional<std::int64_t> v = parse_integer<std::int64_t>(it->second);
+  DASM_CHECK_MSG(v.has_value(), "flag --" << name
+                                          << " expects an integer, got '"
+                                          << it->second << "'");
+  return *v;
 }
 
 double Cli::get_double(const std::string& name, double fallback) const {
   auto it = flags_.find(name);
   if (it == flags_.end()) return fallback;
-  try {
-    return std::stod(it->second);
-  } catch (const std::exception&) {
-    DASM_CHECK_MSG(false, "flag --" << name << " expects a number, got '"
-                                    << it->second << "'");
-  }
-  return fallback;  // unreachable
+  const std::optional<double> v = parse_double(it->second);
+  DASM_CHECK_MSG(v.has_value(), "flag --" << name << " expects a number, got '"
+                                          << it->second << "'");
+  return *v;
 }
 
 bool Cli::get_bool(const std::string& name, bool fallback) const {

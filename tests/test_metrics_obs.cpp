@@ -19,7 +19,7 @@
 #include "gen/generators.hpp"
 #include "obs/export.hpp"
 #include "obs/trace.hpp"
-#include "par/thread_pool.hpp"
+#include "par/sweep.hpp"
 #include "svc/service.hpp"
 #include "util/check.hpp"
 

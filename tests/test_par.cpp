@@ -1,8 +1,10 @@
-#include "par/thread_pool.hpp"
+#include "par/sweep.hpp"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
@@ -11,7 +13,6 @@
 #include "core/rand_asm.hpp"
 #include "gen/generators.hpp"
 #include "mm/runner.hpp"
-#include "par/sweep.hpp"
 #include "testing_graphs.hpp"
 #include "util/check.hpp"
 
@@ -20,76 +21,123 @@ namespace {
 
 TEST(HardwareThreads, AtLeastOne) { EXPECT_GE(hardware_threads(), 1); }
 
-TEST(ThreadPool, RejectsZeroThreads) {
-  EXPECT_THROW(ThreadPool(0), CheckError);
-}
-
-TEST(ThreadPool, RunWorkersRunsEveryWorkerOnceWithCallerAsWorkerZero) {
+TEST(SweepRunner, MapRunsEveryCellExactlyOnce) {
   for (const int threads : {1, 2, 4, 7}) {
-    ThreadPool pool(threads);
+    SweepRunner sweep(threads);
     const auto caller = std::this_thread::get_id();
-    std::vector<int> calls(static_cast<std::size_t>(threads), 0);
-    std::atomic<bool> worker_zero_is_caller{false};
-    pool.run_workers([&](int worker) {
-      ++calls[static_cast<std::size_t>(worker)];  // distinct slot per worker
-      EXPECT_TRUE(ThreadPool::inside_job());
-      if (worker == 0) {
-        worker_zero_is_caller = std::this_thread::get_id() == caller;
-      }
+    std::vector<int> calls(200, 0);
+    std::atomic<int> on_caller{0};
+    sweep.map<int>(200, [&](std::int64_t i) {
+      ++calls[static_cast<std::size_t>(i)];  // distinct slot per cell
+      if (std::this_thread::get_id() == caller) ++on_caller;
+      return 0;
     });
-    EXPECT_EQ(calls, std::vector<int>(static_cast<std::size_t>(threads), 1));
-    EXPECT_TRUE(worker_zero_is_caller);
-    EXPECT_FALSE(ThreadPool::inside_job());
+    EXPECT_EQ(calls, std::vector<int>(200, 1)) << threads;
+    if (threads == 1) {
+      EXPECT_EQ(on_caller.load(), 200);
+    }
   }
 }
 
-TEST(ThreadPool, PropagatesTheFirstExceptionInWorkerOrder) {
-  ThreadPool pool(4);
+// Every cell waits until `threads` cells have started, so each thread
+// of a 4-thread runner holds exactly one cell when they all throw.
+TEST(SweepRunner, RethrowsTheFirstExceptionInWorkerOrder) {
+  SweepRunner sweep(4);
+  const auto caller = std::this_thread::get_id();
+  std::atomic<int> started{0};
   try {
-    pool.run_workers([](int worker) {
-      DASM_CHECK_MSG(worker == 0, "worker " << worker << " failed");
+    sweep.map<int>(4, [&](std::int64_t) -> int {
+      ++started;
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (started.load() < 4 && std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::yield();
+      }
+      DASM_CHECK_MSG(false, (std::this_thread::get_id() == caller
+                                 ? "the caller failed"
+                                 : "a worker failed"));
+      return 0;
     });
-    ADD_FAILURE() << "run_workers swallowed the workers' exceptions";
+    ADD_FAILURE() << "map swallowed the cells' exceptions";
   } catch (const CheckError& e) {
-    // Workers 1, 2 and 3 all throw; the lowest index wins, whichever
+    // All four threads throw; worker 0, the caller, comes first whichever
     // thread finished first.
-    EXPECT_NE(std::string(e.what()).find("worker 1 failed"),
+    EXPECT_NE(std::string(e.what()).find("the caller failed"),
               std::string::npos)
         << e.what();
   }
-  // The pool survives a failed job and runs the next one.
-  std::atomic<int> sum{0};
-  pool.run_workers([&](int worker) { sum += worker; });
-  EXPECT_EQ(sum.load(), 0 + 1 + 2 + 3);
-}
-
-TEST(ThreadPool, NestedRunWorkersRunsInlineAsWorkerZero) {
-  ThreadPool outer(3);
-  ThreadPool inner(3);
-  std::atomic<int> inner_calls{0};
-  std::atomic<bool> inline_on_caller{true};
-  outer.run_workers([&](int) {
-    const auto outer_thread = std::this_thread::get_id();
-    inner.run_workers([&](int worker) {
-      if (worker != 0 || std::this_thread::get_id() != outer_thread) {
-        inline_on_caller = false;
-      }
-      ++inner_calls;
-    });
+  // The runner survives a failed map and runs the next one.
+  const auto out = sweep.map<int>(9, [](std::int64_t i) {
+    return static_cast<int>(i);
   });
-  EXPECT_TRUE(inline_on_caller);  // nested jobs degrade to serial inline
-  EXPECT_EQ(inner_calls.load(), 3);
+  EXPECT_EQ(out, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7, 8}));
 }
 
-TEST(ThreadPool, ReusableAcrossManyJobs) {
-  ThreadPool pool(4);
+TEST(SweepRunner, NestedMapRunsInlineOnTheCellsThread) {
+  SweepRunner outer(3);
+  SweepRunner inner(3);
+  std::atomic<int> inner_calls{0};
+  std::atomic<bool> inline_on_cell_thread{true};
+  outer.map<int>(6, [&](std::int64_t) {
+    const auto cell_thread = std::this_thread::get_id();
+    for (SweepRunner* runner : {&inner, &outer}) {
+      runner->map<int>(5, [&](std::int64_t) {
+        if (std::this_thread::get_id() != cell_thread) {
+          inline_on_cell_thread = false;
+        }
+        ++inner_calls;
+        return 0;
+      });
+    }
+    return 0;
+  });
+  EXPECT_TRUE(inline_on_cell_thread);  // nested maps degrade to serial
+  EXPECT_EQ(inner_calls.load(), 6 * 2 * 5);
+}
+
+TEST(SweepRunner, RunsManyMapsBackToBack) {
+  SweepRunner sweep(4);
   std::int64_t grand = 0;
   for (int job = 0; job < 50; ++job) {
-    std::atomic<std::int64_t> sum{0};
-    pool.run_workers([&](int worker) { sum += worker + 1; });
-    grand += sum.load();
+    for (const std::int64_t v :
+         sweep.map<std::int64_t>(16, [](std::int64_t i) { return i + 1; })) {
+      grand += v;
+    }
   }
-  EXPECT_EQ(grand, 50 * (1 + 2 + 3 + 4));
+  EXPECT_EQ(grand, 50 * (16 * 17 / 2));
+}
+
+// The threads of this process, as /proc lists them: two equal reads in a
+// row, since a thread just joined can stay listed for a moment.
+int task_count() {
+  int last = -1;
+  for (int tries = 0; tries < 100; ++tries) {
+    int n = 0;
+    for ([[maybe_unused]] const auto& entry :
+         std::filesystem::directory_iterator("/proc/self/task")) {
+      ++n;
+    }
+    if (n == last) break;
+    last = n;
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  return last;
+}
+
+// `dasm serve` pins the threads that exist after setup; a worker started
+// per map would miss that, so the constructor starts them all.
+TEST(SweepRunner, StartsItsWorkersInTheConstructor) {
+  if (!std::filesystem::exists("/proc/self/task")) {
+    GTEST_SKIP() << "no /proc/self/task";
+  }
+  // A sanitizer runtime may start a helper thread with the first thread
+  // the process creates; let that happen before counting.
+  std::thread([] {}).join();
+  const int before = task_count();
+  SweepRunner sweep(3);
+  EXPECT_EQ(task_count(), before + 2);
+  sweep.map<int>(64, [](std::int64_t i) { return static_cast<int>(i); });
+  EXPECT_EQ(task_count(), before + 2);
 }
 
 TEST(SweepRunner, MapReturnsResultsInIndexOrder) {

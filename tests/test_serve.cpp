@@ -329,12 +329,15 @@ TEST(ServeConformance, SingleConnectionMatchesBatchBytes) {
       "dasm-requests 1\n"
       "instance g gen complete 16 3\n"
       "instance r gen regular 20 5\n"
+      // Below almost_regular's minimum degree of 8: capped at n.
+      "instance a gen almost_regular 5 1\n"
       "request g asm eps 0.5\n"
       "request g asm eps 0.5\n"  // cache hit replays the cold bytes
       "request g mm backend ii\n"
       "request r rand-asm seed 2\n"
       "request r asm eps 0.25 seed 4 backend rp\n"
-      "request g asm eps 0.5 seed 1 drop 0.1 fault-seed 7 retransmit-after 2\n";
+      "request g asm eps 0.5 seed 1 drop 0.1 fault-seed 7 retransmit-after 2\n"
+      "request a asm\n";
   const std::string expected = batch_reference(text);
 
   TestServer ts;
@@ -343,7 +346,7 @@ TEST(ServeConformance, SingleConnectionMatchesBatchBytes) {
   client.send_all(text);
   client.shutdown_write();
   // Greeting + one line per request == exactly the batch log's bytes.
-  const std::vector<std::string> lines = client.must_read_lines(1 + 6);
+  const std::vector<std::string> lines = client.must_read_lines(1 + 7);
   std::string actual;
   for (const auto& l : lines) actual += l + "\n";
   EXPECT_EQ(actual, expected);
@@ -543,6 +546,7 @@ TEST(ServeMalformed, BadLinesAnswerErrWithoutDesyncingTheStream) {
       {"request f asm\n", "unregistered instance"},
       {"request g bogus-algo\n", "algo must be"},
       {"request g asm eps banana\n", "expected eps"},
+      {"request g asm eps +0.5\n", "expected eps"},
       {"request g asm wibble 3\n", "unknown request key"},
       {"request g asm eps\n", "missing its value"},
       {"instance g gen complete 12 1\n", "already registered"},

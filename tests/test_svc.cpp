@@ -11,7 +11,7 @@
 
 #include "gen/generators.hpp"
 #include "obs/export.hpp"
-#include "par/thread_pool.hpp"
+#include "par/sweep.hpp"
 #include "stable/io.hpp"
 #include "svc/service.hpp"
 #include "util/check.hpp"
@@ -206,6 +206,15 @@ TEST(SvcRequestFile, RejectsMalformedInput) {
   EXPECT_THROW(parse("dasm-requests 1\ninstance a gen complete 8 1\n"
                      "request a asm eps 1.5\n"),
                CheckError);
+  // Numbers are whole tokens: no sign, no trailing characters.
+  for (const char* bad : {"eps +0.5", "drop +0.1", "eps 0.5x", "drop 0.1%",
+                          "eps nan", "drop nan", "eps 1e999"}) {
+    const std::string text =
+        std::string("dasm-requests 1\ninstance a gen complete 8 1\n"
+                    "request a asm retransmit-after 1 ") +
+        bad + "\n";
+    EXPECT_THROW(parse(text.c_str()), CheckError) << bad;
+  }
   // Integers outside their field's type are errors, not narrowed values
   // (2^32 + 5 is not an n = 5 instance, 2^32 + 2 is not a 2-round timeout).
   EXPECT_THROW(parse("dasm-requests 1\ninstance g gen complete 4294967301 1\n"),
@@ -257,6 +266,15 @@ TEST(SvcRequestFile, OversizedDeclarationsAreRefusedBeforeGenerating) {
   EXPECT_THROW(declared("a gen bogus 8 1"), CheckError);
   // The largest corpus line sits exactly at the limit.
   EXPECT_EQ(declared("i4096 gen incomplete 4096 6").edge_count(), 65612);
+  // At the other end every family caps its degrees at n: n = 5 is below
+  // the usual degree of regular (16), bounded (8) and almost_regular (8
+  // to 24), and each still builds; almost_regular is then 5-regular.
+  for (const char* family : {"complete", "incomplete", "regular", "bounded",
+                             "almost_regular", "master", "chain"}) {
+    const std::string line = std::string("a gen ") + family + " 5 1";
+    EXPECT_GT(declared(line.c_str()).edge_count(), 0) << line;
+  }
+  EXPECT_EQ(declared("a gen almost_regular 5 1").edge_count(), 25);
 }
 
 // ---------------------------------------------------------------------------
@@ -310,11 +328,10 @@ struct RunOutput {
   SvcStats stats;
 };
 
-RunOutput run_workload(int threads, bool cache, int batches = 1) {
+RunOutput run_workload(int threads, int batches = 1) {
   obs::MemorySink sink;
   SvcConfig config;
   config.threads = threads;
-  config.cache_results = cache;
   config.obs_sink = &sink;
   MatchService service(config);
   register_workload_instances(service);
@@ -339,10 +356,10 @@ RunOutput run_workload(int threads, bool cache, int batches = 1) {
 }
 
 TEST(SvcService, ResponseLogAndTraceAreByteIdenticalAcrossThreadCounts) {
-  const RunOutput baseline = run_workload(1, true);
+  const RunOutput baseline = run_workload(1);
   EXPECT_EQ(baseline.stats.committed, 10);
   for (const int threads : {2, 4, par::hardware_threads()}) {
-    const RunOutput other = run_workload(threads, true);
+    const RunOutput other = run_workload(threads);
     EXPECT_EQ(baseline.responses, other.responses) << threads << " threads";
     EXPECT_EQ(baseline.trace, other.trace) << threads << " threads";
     EXPECT_EQ(baseline.stats, other.stats) << threads << " threads";
@@ -350,22 +367,50 @@ TEST(SvcService, ResponseLogAndTraceAreByteIdenticalAcrossThreadCounts) {
 }
 
 TEST(SvcService, BatchPartitioningNeverChangesTheLog) {
-  const RunOutput one = run_workload(2, true, 1);
+  const RunOutput one = run_workload(2, 1);
   for (const int batches : {2, 3, 10}) {
-    const RunOutput split = run_workload(2, true, batches);
+    const RunOutput split = run_workload(2, batches);
     EXPECT_EQ(one.responses, split.responses) << batches << " batches";
   }
 }
 
-TEST(SvcService, CacheOffMatchesCacheOnBytes) {
-  // The response payload is a pure function of the request, so disabling
-  // the cache re-executes everything yet commits the same log.
-  const RunOutput cached = run_workload(1, true);
-  const RunOutput uncached = run_workload(1, false);
-  EXPECT_EQ(cached.responses, uncached.responses);
-  EXPECT_EQ(uncached.stats.cache_hits, 0);
-  EXPECT_EQ(uncached.stats.executed_runs, uncached.stats.committed);
-  EXPECT_GT(cached.stats.executed_runs, 0);
+TEST(SvcService, CachedLogMatchesDirectExecution) {
+  // The response payload is a pure function of the request, so a log
+  // served partly from in-batch duplicates and partly from the cache
+  // equals one direct execute_request per request, ids stamped in
+  // arrival order.
+  SvcConfig config;
+  config.threads = 2;
+  MatchService service(config);
+  register_workload_instances(service);
+  const std::vector<Request> workload = mixed_workload();
+  const std::size_t distinct = workload.size();
+  std::vector<Request> stream = workload;
+  stream.insert(stream.end(), workload.begin(), workload.end());
+  // The first batch repeats half the workload within itself; the second
+  // batch is all cross-batch hits.
+  const std::size_t first_batch = distinct + distinct / 2;
+  for (std::size_t i = 0; i < stream.size(); ++i) {
+    ASSERT_EQ(service.submit(stream[i]), static_cast<std::int64_t>(i));
+    if (i + 1 == first_batch) service.run_batch();
+  }
+  service.drain();
+  EXPECT_EQ(service.stats().executed_runs,
+            static_cast<std::int64_t>(distinct));
+  EXPECT_EQ(service.stats().cache_hits, static_cast<std::int64_t>(distinct));
+
+  std::vector<Response> direct;
+  for (std::size_t i = 0; i < stream.size(); ++i) {
+    const StoredInstance* inst = service.instances().find(stream[i].instance);
+    ASSERT_NE(inst, nullptr);
+    direct.push_back(execute_request(*inst, stream[i]));
+    direct.back().id = static_cast<std::int64_t>(i);
+  }
+  std::ostringstream served;
+  std::ostringstream executed;
+  service.write_responses(served);
+  write_responses(executed, direct);
+  EXPECT_EQ(served.str(), executed.str());
 }
 
 TEST(SvcService, CacheHitReplayEqualsColdRun) {

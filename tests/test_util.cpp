@@ -4,6 +4,7 @@
 
 #include "util/check.hpp"
 #include "util/cli.hpp"
+#include "util/parse.hpp"
 #include "util/table.hpp"
 
 namespace dasm {
@@ -89,10 +90,31 @@ TEST(CliTest, BooleanSpellings) {
 }
 
 TEST(CliTest, MalformedValuesThrow) {
-  const char* argv[] = {"prog", "--n=abc", "--x=1.2.3", "--b=maybe"};
-  Cli cli(4, argv);
+  const char* argv[] = {"prog",       "--n=abc",  "--x=1.2.3", "--b=maybe",
+                        "--m=12abc", "--e=0.5x", "--s=+3",    "--f=1e999"};
+  Cli cli(8, argv);
   EXPECT_THROW(cli.get_int("n", 0), CheckError);
   EXPECT_THROW(cli.get_bool("b", false), CheckError);
+  // A number is the whole token: a prefix parse would read 1.2, 12 and
+  // 0.5 here.
+  EXPECT_THROW(cli.get_double("x", 0.0), CheckError);
+  EXPECT_THROW(cli.get_int("m", 0), CheckError);
+  EXPECT_THROW(cli.get_double("e", 0.0), CheckError);
+  EXPECT_THROW(cli.get_int("s", 0), CheckError);
+  EXPECT_THROW(cli.get_double("f", 0.0), CheckError);
+}
+
+// ------------------------------------------------------------------- parse
+
+TEST(ParseDouble, AcceptsWholeFiniteDecimalTokensOnly) {
+  EXPECT_EQ(parse_double("0.25"), 0.25);
+  EXPECT_EQ(parse_double("-1.5"), -1.5);
+  EXPECT_EQ(parse_double("5e-1"), 0.5);
+  EXPECT_EQ(parse_double("1"), 1.0);
+  for (const char* bad : {"", "+0.5", " 0.5", "0.5 ", "0.5x", "1.2.3", "nan",
+                          "inf", "-inf", "1e999", "0x1p-1", "."}) {
+    EXPECT_FALSE(parse_double(bad).has_value()) << '"' << bad << '"';
+  }
 }
 
 }  // namespace

@@ -12,22 +12,28 @@
 //               [--sweeps K]                        (truncated-gs)
 //   dasm verify --in inst.txt --matching matching.txt [--eps E]
 //   dasm batch  --requests reqs.txt [--out responses.txt] [--threads T]
-//               [--queue N] [--cache=false] [--trace-out trace.jsonl]
+//               [--queue N] [--trace-out trace.jsonl]
 //               [--metrics-out snap.jsonl]
 //   dasm serve  [--port P] [--host A] [--threads T] [--queue N]
-//               [--cache=false] [--preload reqs.txt] [--port-file path]
+//               [--preload reqs.txt] [--port-file path]
 //               [--idle-timeout-ms N] [--max-line-bytes N] [--batch-max N]
 //               [--metrics-out snap.jsonl]
 //
 // Every subcommand rejects a flag it does not read (and any stray
 // argument) with exit status 2 and a usage line, so a typo cannot
-// silently change a run. A run is serial; --threads sizes only the
-// batch scheduler of `batch` and `serve` (DESIGN.md §6).
+// silently change a run; a number that is not a whole token of its type
+// (`--n 12abc`, `--eps 0.5x`) exits 1. `run` reads --eps, --seed,
+// --backend, --max-rounds, --drop, --fault-seed, --retransmit-after and
+// --max-retransmits as the request keys of the same names (src/svc/
+// request.hpp), with the same checks, and maps them onto the engines
+// exactly as a served request is; only --fault-seed's default differs
+// (--seed here, 0 on the wire). A run is serial; --threads sizes only the
+// SweepRunner that runs the batches of `batch` and `serve` (DESIGN.md §6).
 //
 // --metrics-out writes a wall-clock metrics snapshot (src/obs/metrics.hpp,
 // DESIGN.md §11): ".prom" selects Prometheus text exposition, anything
 // else the JSONL form that `dasm-trace metrics` summarizes and
-// `dasm-trace diff` compares as a perf-regression gate.
+// `dasm-trace diff` compares.
 //
 // Algorithms: asm (deterministic, default), rand-asm, almost-regular-asm,
 // gs (centralized), distributed-gs, truncated-gs, broadcast-gs.
@@ -150,70 +156,39 @@ int cmd_info(const Cli& cli) {
   return 0;
 }
 
-// Engine knobs shared by the asm and rand-asm paths: a lossy network and
-// the reliability sublayer. Drop without retransmit is refused before
-// round 0, since raw loss aborts the run — see AsmParams::fault_plan.
-struct EngineFlags {
-  FaultPlan fault_plan;
-  int retransmit_after = 0;
-  int max_retransmits = 64;
-};
-
-EngineFlags parse_engine_flags(const Cli& cli, std::uint64_t default_seed) {
-  EngineFlags flags;
-  flags.fault_plan.drop = cli.get_double("drop", 0.0);
-  flags.fault_plan.seed =
-      static_cast<std::uint64_t>(cli.get_int("fault-seed",
-                                             static_cast<std::int64_t>(default_seed)));
-  flags.retransmit_after =
-      static_cast<int>(cli.get_int("retransmit-after", 0));
-  flags.max_retransmits =
-      static_cast<int>(cli.get_int("max-retransmits", 64));
-  flags.fault_plan.validate();
-  return flags;
+// The run's knobs as a request: each flag below is the request key of the
+// same name (see the header).
+svc::Request make_run_request(const Cli& cli, const std::string& algo) {
+  svc::Request req;
+  req.algo = algo == "rand-asm" ? svc::Algo::kRandAsm : svc::Algo::kAsm;
+  for (const char* key : {"eps", "seed", "backend", "max-rounds", "drop",
+                          "fault-seed", "retransmit-after",
+                          "max-retransmits"}) {
+    if (cli.has(key)) svc::set_request_key(req, key, cli.get(key, ""));
+  }
+  if (!cli.has("fault-seed")) req.fault_plan.seed = req.seed;
+  svc::check_request(req);
+  return req;
 }
 
 int cmd_run(const Cli& cli) {
   const Instance inst = make_instance(cli);
   const std::string algo = cli.get("algo", "asm");
-  const double eps = cli.get_double("eps", 0.25);
-  const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
+  const svc::Request req = make_run_request(cli, algo);
   const std::string metrics_out = cli.get("metrics-out", "");
   obs::MetricsRegistry metrics;
   obs::MetricsRegistry* reg = metrics_out.empty() ? nullptr : &metrics;
 
   Matching matching(inst.graph().node_count());
   if (algo == "asm" || algo == "rand-asm") {
-    const EngineFlags engine = parse_engine_flags(cli, seed);
     core::AsmResult r = [&] {
       if (algo == "asm") {
-        core::AsmParams params;
-        params.epsilon = eps;
-        params.seed = seed;
-        params.max_rounds = cli.get_int("max-rounds", 0);
+        core::AsmParams params = svc::asm_params(req);
         params.per_player_quantiles = cli.get_bool("mimic-gs", false);
-        params.fault_plan = engine.fault_plan;
-        params.retransmit_after = engine.retransmit_after;
-        params.max_retransmits = engine.max_retransmits;
         params.metrics = reg;
-        const std::string backend = cli.get("backend", "det");
-        if (backend == "ii") {
-          params.mm_backend = mm::Backend::kIsraeliItai;
-        } else if (backend == "rp") {
-          params.mm_backend = mm::Backend::kRandomPriority;
-        } else {
-          DASM_CHECK_MSG(backend == "det",
-                         "--backend must be det, ii or rp, got '" << backend
-                                                                  << "'");
-        }
         return core::run_asm(inst, params);
       }
-      core::RandAsmParams params;
-      params.epsilon = eps;
-      params.seed = seed;
-      params.fault_plan = engine.fault_plan;
-      params.retransmit_after = engine.retransmit_after;
-      params.max_retransmits = engine.max_retransmits;
+      core::RandAsmParams params = svc::rand_asm_params(req);
       params.metrics = reg;
       return core::run_rand_asm(inst, params);
     }();
@@ -224,8 +199,8 @@ int cmd_run(const Cli& cli) {
     matching = r.matching;
   } else if (algo == "almost-regular-asm") {
     core::AlmostRegularAsmParams params;
-    params.epsilon = eps;
-    params.seed = seed;
+    params.epsilon = req.epsilon;
+    params.seed = req.seed;
     const auto r = core::run_almost_regular_asm(inst, params);
     r.print_summary(std::cout);
     std::cout << '\n';
@@ -266,7 +241,7 @@ int cmd_run(const Cli& cli) {
     const obs::ScopedTimer certify_timer(
         reg != nullptr ? reg->histogram("time.certify.scan_us")
                        : obs::HistogramHandle{});
-    report_matching(inst, matching, eps);
+    report_matching(inst, matching, req.epsilon);
   }
   const std::string out = cli.get("out", "");
   if (!out.empty()) {
@@ -308,7 +283,6 @@ int cmd_batch(const Cli& cli) {
   config.threads = static_cast<int>(cli.get_int("threads", 1));
   config.queue_capacity =
       static_cast<std::size_t>(cli.get_int("queue", 1024));
-  config.cache_results = cli.get_bool("cache", true);
   obs::MemorySink sink;
   const std::string trace_out = cli.get("trace-out", "");
   if (!trace_out.empty()) config.obs_sink = &sink;
@@ -384,7 +358,6 @@ int cmd_serve(const Cli& cli) {
   config.svc.threads = static_cast<int>(cli.get_int("threads", 1));
   config.svc.queue_capacity =
       static_cast<std::size_t>(cli.get_int("queue", 1024));
-  config.svc.cache_results = cli.get_bool("cache", true);
   obs::MetricsRegistry metrics;  // process-lifetime; scrapes never reset it
   config.metrics = &metrics;
   config.stop_flag = &g_serve_stop;
@@ -473,10 +446,9 @@ std::vector<Command> commands() {
                       "max-retransmits", "metrics-out", "sweeps"})},
       {"verify", cmd_verify, with_instance({"matching", "eps"})},
       {"batch", cmd_batch,
-       {"requests", "out", "threads", "queue", "cache", "trace-out",
-        "metrics-out"}},
+       {"requests", "out", "threads", "queue", "trace-out", "metrics-out"}},
       {"serve", cmd_serve,
-       {"port", "host", "threads", "queue", "cache", "preload", "port-file",
+       {"port", "host", "threads", "queue", "preload", "port-file",
         "idle-timeout-ms", "max-line-bytes", "batch-max", "metrics-out"}},
   };
 }

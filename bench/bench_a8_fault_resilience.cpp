@@ -12,20 +12,63 @@
 // blocking-pair count stays within eps * |E| throughout. Cells run
 // independently on a SweepRunner and aggregate in index order, so tables
 // are identical at every --threads value.
+//
+// A third verdict gates the reliability sublayer's cost: after a warm-up,
+// 64 rounds of a reliable network under 5% loss perform no heap
+// allocation (A6's check of the fault-free arenas, extended to the payload
+// window and the wire ring), counted by a replaced global operator new.
+#include <atomic>
 #include <cstdint>
+#include <cstdlib>
 #include <iostream>
+#include <new>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "congest/fault.hpp"
+#include "congest/network.hpp"
 #include "core/engine.hpp"
 #include "par/sweep.hpp"
 #include "stable/blocking.hpp"
 #include "util/table.hpp"
 
+// Allocation counter: every path to the heap in this binary goes through
+// these operators, so a delta of zero over a window proves the network did
+// not touch the allocator.
+namespace {
+std::atomic<long long> g_heap_allocs{0};
+}
+
+void* operator new(std::size_t size) {
+  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size ? size : 1)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t size) { return ::operator new(size); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+
 namespace {
 
 using namespace dasm;
+
+// One saturated round: every directed edge of `g` carries a message.
+std::int64_t saturate_round(Network& net, const Graph& g, int round) {
+  net.begin_round();
+  for (NodeId u = 0; u < g.node_count(); ++u) {
+    for (const NodeId v : g.neighbors(u)) {
+      net.send(u, v, Message{MsgType::kPropose, u, round % 997 + 1});
+    }
+  }
+  net.end_round();
+  std::int64_t checksum = 0;
+  for (const NodeId v : net.receivers()) {
+    for (const Envelope& e : net.inbox(v)) checksum += e.msg.a + e.from;
+  }
+  return checksum;
+}
 
 struct CellResult {
   double wire_rounds = 0;       // executed rounds incl. retransmit rounds
@@ -129,10 +172,44 @@ int main(int argc, char** argv) {
   }
   table.print(std::cout);
   std::cout << "\n";
+
+  // Steady-state allocations of the reliability sublayer, after the sweep
+  // so no worker allocates meanwhile. Saturated rounds are its worst case:
+  // every directed edge opens a payload, 5% of copies and acks are lost,
+  // and a payload whose copies or acks keep getting lost pins the window.
+  const Instance alloc_inst = bench::make_family("complete", n, 1);
+  const Graph& alloc_graph = alloc_inst.graph().graph();
+  Network reliable(alloc_graph);
+  FaultPlan lossy;
+  lossy.seed = 8;
+  lossy.drop = 0.05;
+  reliable.set_fault_plan(lossy);
+  reliable.set_reliable_transport(/*retransmit_after=*/2);
+  std::int64_t checksum = 0;
+  for (int r = 0; r < 64; ++r) {
+    checksum += saturate_round(reliable, alloc_graph, r);
+  }
+  const long long before = g_heap_allocs.load(std::memory_order_relaxed);
+  for (int r = 64; r < 128; ++r) {
+    checksum += saturate_round(reliable, alloc_graph, r);
+  }
+  const long long allocs =
+      g_heap_allocs.load(std::memory_order_relaxed) - before;
+  std::cout << "reliable network, drop 0.05, " << alloc_graph.node_count()
+            << " nodes saturated: " << allocs
+            << " heap allocations over 64 rounds ("
+            << reliable.stats().executed_rounds << " wire rounds in all, "
+            << reliable.stats().retransmitted << " retransmissions, checksum "
+            << checksum << ")\n\n";
+  const bool zero_alloc = allocs == 0;
+
   bench::print_verdict(all_stable,
                        "every cell is (1-eps)-stable despite message loss");
   bench::print_verdict(all_same,
                        "reliable faulty runs reproduce the fault-free "
                        "matching exactly");
-  return (all_stable && all_same) ? 0 : 1;
+  bench::print_verdict(zero_alloc,
+                       "steady-state reliable rounds under loss allocate "
+                       "nothing");
+  return (all_stable && all_same && zero_alloc) ? 0 : 1;
 }

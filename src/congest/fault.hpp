@@ -83,13 +83,26 @@ struct FaultPlan {
 
 /// Counter-based fault PRNG: a pure function of (seed, round, edge, copy),
 /// so decisions are independent of evaluation order. Distinct decision
-/// kinds perturb `seed` with distinct salts.
-inline std::uint64_t fault_mix(std::uint64_t seed, std::uint64_t round,
-                               std::uint64_t edge_key, std::uint64_t copy_id) {
+/// kinds perturb `seed` with distinct salts. It runs in two stages, and
+/// the first depends on (seed, round) only: a caller that rolls many
+/// copies in one wire round computes fault_round_key() once per round and
+/// finishes each roll with fault_mix_copy(), for the same bits.
+inline std::uint64_t fault_round_key(std::uint64_t seed, std::uint64_t round) {
   std::uint64_t s = seed + 0x9e3779b97f4a7c15ULL * (round + 1);
-  s = splitmix64(s) ^ (0xbf58476d1ce4e5b9ULL * (edge_key + 1));
+  return splitmix64(s);
+}
+
+inline std::uint64_t fault_mix_copy(std::uint64_t round_key,
+                                    std::uint64_t edge_key,
+                                    std::uint64_t copy_id) {
+  std::uint64_t s = round_key ^ (0xbf58476d1ce4e5b9ULL * (edge_key + 1));
   s = splitmix64(s) ^ (0x94d049bb133111ebULL * (copy_id + 1));
   return splitmix64(s);
+}
+
+inline std::uint64_t fault_mix(std::uint64_t seed, std::uint64_t round,
+                               std::uint64_t edge_key, std::uint64_t copy_id) {
+  return fault_mix_copy(fault_round_key(seed, round), edge_key, copy_id);
 }
 
 /// Salts separating the decision streams of one wire copy.

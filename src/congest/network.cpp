@@ -71,8 +71,7 @@ Network::Network(const Graph& graph, int message_bit_budget)
   // in-edge per round, so its inbox fits in its deg(v) adjacency slots
   // forever.
   for (Arena& a : arenas_) {
-    a.slots.reset(static_cast<Envelope*>(::operator new(
-        static_cast<std::size_t>(slot_offset_[n]) * sizeof(Envelope))));
+    a.slots = raw_array<Envelope>(static_cast<std::size_t>(slot_offset_[n]));
     a.fill.assign(n, 0);
     a.dirty.reserve(n);
   }
@@ -176,7 +175,7 @@ void Network::end_round() {
   // front of the real work; with one, it times the full close
   // (fault-layer wire rounds, arena flip) and records the round's offered
   // load. Both figures cover the fault path because end_round_impl()
-  // returns only after publish_fault_round().
+  // returns only once the round's inboxes are published.
   if (!m_end_round_us_.active()) [[likely]] {
     end_round_impl();
     return;
@@ -198,6 +197,13 @@ void Network::end_round_impl() {
     // this round to be delivered or permanently dead — loss costs rounds,
     // not correctness. Each wire round ticks executed/scheduled rounds and
     // fires the obs hook, so traces and stats see the real wire activity.
+    if (retransmit_after_ == 0 && f_staging_.empty()) {
+      // Raw loss stages arrivals per receiver; sized on first use, so a
+      // reliable run never allocates them.
+      const auto n = static_cast<std::size_t>(node_count());
+      f_staging_.resize(n);
+      f_front_.resize(n);
+    }
     run_wire_round();
     std::int64_t wire_rounds = 1;
     while (unresolved_payloads_ > 0) {
@@ -206,9 +212,20 @@ void Network::end_round_impl() {
                          << unresolved_payloads_ << " payloads open)");
       run_wire_round();
     }
-    publish_fault_round();
+    if (retransmit_after_ > 0) {
+      publish_reliable_round();
+    } else {
+      publish_raw_round();
+    }
     return;
   }
+  flip_arenas();
+  ++stats_.executed_rounds;
+  ++stats_.scheduled_rounds;
+  if (round_hook_) round_hook_(stats_);
+}
+
+void Network::flip_arenas() {
   // Retire the arena that was readable this round: reset only the slots
   // that held messages, then flip. No container grows or shrinks here, so
   // steady-state rounds perform no allocations.
@@ -218,14 +235,12 @@ void Network::end_round_impl() {
   }
   retired.dirty.clear();
   delivered_ ^= 1;
-  ++stats_.executed_rounds;
-  ++stats_.scheduled_rounds;
-  if (round_hook_) round_hook_(stats_);
+  raw_inboxes_ = false;
 }
 
 void Network::set_fault_plan(const FaultPlan& plan) {
   DASM_CHECK_MSG(!round_open_, "set_fault_plan() while a round is open");
-  DASM_CHECK_MSG(pending_copies_ == 0 && payloads_.empty(),
+  DASM_CHECK_MSG(pending_copies_ == 0 && open_payloads_ == 0,
                  "set_fault_plan() with wire copies still in flight");
   plan.validate();
   for (const CrashEvent& c : plan.crashes) {
@@ -238,6 +253,7 @@ void Network::set_fault_plan(const FaultPlan& plan) {
                                                << e.from << " -> " << e.to);
   }
   plan_ = plan;
+  keys_round_ = -1;
   drop_threshold_ = probability_threshold(plan.drop);
   dup_threshold_ = probability_threshold(plan.duplicate);
   delay_threshold_ =
@@ -275,8 +291,8 @@ void Network::set_reliable_transport(int retransmit_after,
                  "retransmit_after must be >= 0, got " << retransmit_after);
   DASM_CHECK_MSG(retransmit_after == 0 || max_retransmits >= 1,
                  "max_retransmits must be >= 1, got " << max_retransmits);
-  DASM_CHECK_MSG(payloads_.empty(),
-                 "set_reliable_transport() with unacked payloads in flight");
+  DASM_CHECK_MSG(pending_copies_ == 0 && open_payloads_ == 0,
+                 "set_reliable_transport() with wire copies still in flight");
   retransmit_after_ = retransmit_after;
   max_retransmits_ = max_retransmits;
   refresh_fault_mode();
@@ -289,13 +305,18 @@ void Network::refresh_fault_mode() {
     return;
   }
   fault_mode_ = true;
-  const auto n = static_cast<std::size_t>(node_count());
   // Dues span [wire_round, wire_round + max(1, max_delay)] (duplicates and
   // acks arrive at least one round late), so this size keeps ring slots
   // collision-free.
   ring_.resize(static_cast<std::size_t>(std::max(plan_.max_delay, 1)) + 2);
-  f_staging_.resize(n);
-  f_front_.resize(n);
+  // A wire round's due slot takes at most one new copy per directed edge
+  // plus retransmissions, duplicates and acks; reserving half again over
+  // the edge count (capped) keeps steady-state rounds from growing it.
+  const auto edges = static_cast<std::size_t>(slot_offset_[node_count()]);
+  const std::size_t due_copies =
+      std::min<std::size_t>(edges + edges / 2, 1 << 15);
+  for (auto& slot : ring_) slot.reserve(due_copies);
+  if (retransmit_after_ > 0 && window_ == nullptr) grow_window();
 }
 
 bool Network::node_crashed(NodeId v, std::int64_t wire_round) const {
@@ -316,7 +337,6 @@ std::uint64_t Network::drop_threshold_for(NodeId from, NodeId to) const {
 }
 
 void Network::fault_commit_send(NodeId from, NodeId to, const Message& msg) {
-  const std::int64_t ordinal = commit_ordinal_++;
   const std::int64_t wire_round = stats_.executed_rounds;
   if (node_crashed(from, wire_round) || node_crashed(to, wire_round)) {
     // Crash-stop: a crashed endpoint kills the send outright (for a
@@ -326,23 +346,40 @@ void Network::fault_commit_send(NodeId from, NodeId to, const Message& msg) {
     ++stats_.dropped;
     return;
   }
-  if (retransmit_after_ > 0) {
-    const std::int64_t id = next_payload_id_++;
-    payloads_.emplace(
-        id, Payload{from, to, ordinal, wire_round, 1, false, msg});
-    ++unresolved_payloads_;
-    transmit_copy(from, to, ordinal, id, /*is_ack=*/false,
+  if (retransmit_after_ == 0) {
+    transmit_copy(from, to, commit_ordinal_++, /*is_ack=*/false,
                   /*may_duplicate=*/true, msg);
-  } else {
-    transmit_copy(from, to, ordinal, /*payload_id=*/-1, /*is_ack=*/false,
-                  /*may_duplicate=*/true, msg);
+    return;
   }
+  // Reserve the receiver's next slot in the filling arena, exactly where
+  // the fault-free path would write this send: sends are in commit order,
+  // so the published inbox keeps the fault-free order without a sort. The
+  // per-edge stamp in send() keeps the row within deg(to).
+  Arena& out = arenas_[delivered_ ^ 1];
+  auto& fill = out.fill[static_cast<std::size_t>(to)];
+  if (fill == 0) out.dirty.push_back(to);
+  const std::int64_t slot = slot_offset_[to] + fill;
+  ++fill;
+  const std::int64_t id =
+      open_payload(Payload{from, to, slot, wire_round, 1, false, msg});
+  ++unresolved_payloads_;
+  transmit_copy(from, to, id, /*is_ack=*/false, /*may_duplicate=*/true, msg);
 }
 
-void Network::transmit_copy(NodeId from, NodeId to, std::int64_t ordinal,
-                            std::int64_t payload_id, bool is_ack,
-                            bool may_duplicate, const Message& msg) {
+void Network::transmit_copy(NodeId from, NodeId to, std::int64_t seq,
+                            bool is_ack, bool may_duplicate,
+                            const Message& msg) {
   const auto wire_round = static_cast<std::uint64_t>(stats_.executed_rounds);
+  if (keys_round_ != stats_.executed_rounds) {
+    keys_round_ = stats_.executed_rounds;
+    keys_ = RoundKeys{fault_round_key(plan_.seed ^ kFaultDropSalt, wire_round),
+                      fault_round_key(plan_.seed ^ kFaultDelaySalt, wire_round),
+                      fault_round_key(plan_.seed ^ kFaultDelayAmountSalt,
+                                      wire_round),
+                      fault_round_key(plan_.seed ^ kFaultDuplicateSalt,
+                                      wire_round),
+                      fault_round_key(plan_.seed ^ kFaultAckSalt, wire_round)};
+  }
   const std::uint64_t edge_key =
       (static_cast<std::uint64_t>(static_cast<std::uint32_t>(from)) << 32) |
       static_cast<std::uint32_t>(to);
@@ -351,38 +388,35 @@ void Network::transmit_copy(NodeId from, NodeId to, std::int64_t ordinal,
     // Control-plane: acks roll their own loss but are invisible to every
     // NetStats counter — a lost ack only costs a spurious retransmission,
     // which the idempotent filter absorbs on arrival.
-    if (fault_mix(plan_.seed ^ kFaultAckSalt, wire_round, edge_key, copy_id) <
+    if (fault_mix_copy(keys_.ack, edge_key, copy_id) <
         drop_threshold_for(from, to)) {
       return;
     }
     ring_[static_cast<std::size_t>((wire_round + 1) % ring_.size())].push_back(
-        WireCopy{from, to, ordinal, payload_id, true, msg});
+        WireCopy{from, to, seq, true, msg});
     return;
   }
-  if (fault_mix(plan_.seed ^ kFaultDropSalt, wire_round, edge_key, copy_id) <
+  if (fault_mix_copy(keys_.drop, edge_key, copy_id) <
       drop_threshold_for(from, to)) {
     ++stats_.dropped;  // a sequenced payload stays open and retransmits
   } else {
     std::uint64_t due = wire_round;
     if (delay_threshold_ != 0 &&
-        fault_mix(plan_.seed ^ kFaultDelaySalt, wire_round, edge_key,
-                  copy_id) < delay_threshold_) {
-      due += 1 + fault_mix(plan_.seed ^ kFaultDelayAmountSalt, wire_round,
-                           edge_key, copy_id) %
+        fault_mix_copy(keys_.delay, edge_key, copy_id) < delay_threshold_) {
+      due += 1 + fault_mix_copy(keys_.delay_amount, edge_key, copy_id) %
                      static_cast<std::uint64_t>(plan_.max_delay);
     }
     ring_[static_cast<std::size_t>(due % ring_.size())].push_back(
-        WireCopy{from, to, ordinal, payload_id, false, msg});
+        WireCopy{from, to, seq, false, msg});
     ++pending_copies_;
   }
   if (may_duplicate && dup_threshold_ != 0 &&
-      fault_mix(plan_.seed ^ kFaultDuplicateSalt, wire_round, edge_key,
-                copy_id) < dup_threshold_) {
+      fault_mix_copy(keys_.duplicate, edge_key, copy_id) < dup_threshold_) {
     // The duplicate re-rolls its own loss and arrives 1..max(1, max_delay)
     // rounds late; duplicates never duplicate again.
     ++stats_.duplicated;
     const auto dup_id = static_cast<std::uint64_t>(copy_counter_++);
-    if (fault_mix(plan_.seed ^ kFaultDropSalt, wire_round, edge_key, dup_id) <
+    if (fault_mix_copy(keys_.drop, edge_key, dup_id) <
         drop_threshold_for(from, to)) {
       ++stats_.dropped;
     } else {
@@ -390,11 +424,9 @@ void Network::transmit_copy(NodeId from, NodeId to, std::int64_t ordinal,
           static_cast<std::uint64_t>(std::max(plan_.max_delay, 1));
       const std::uint64_t due =
           wire_round + 1 +
-          fault_mix(plan_.seed ^ kFaultDelayAmountSalt, wire_round, edge_key,
-                    dup_id) %
-              span;
+          fault_mix_copy(keys_.delay_amount, edge_key, dup_id) % span;
       ring_[static_cast<std::size_t>(due % ring_.size())].push_back(
-          WireCopy{from, to, ordinal, payload_id, false, msg});
+          WireCopy{from, to, seq, false, msg});
       ++pending_copies_;
     }
   }
@@ -402,42 +434,28 @@ void Network::transmit_copy(NodeId from, NodeId to, std::int64_t ordinal,
 
 void Network::run_wire_round() {
   const std::int64_t wire_round = stats_.executed_rounds;
-  if (retransmit_after_ > 0) {
-    // Retransmit scan in payload-id (= original send) order. Every
-    // undelivered payload in the map was born in the current protocol
-    // round — end_round() never returns while one is open.
-    for (auto it = payloads_.begin(); it != payloads_.end();) {
-      Payload& p = it->second;
-      const bool endpoint_crashed = node_crashed(p.from, wire_round) ||
-                                    node_crashed(p.to, wire_round);
-      if (p.delivered) {
-        // Only the ack is outstanding. A crashed endpoint can neither
-        // retransmit nor ack, and the attempt cap bounds how long a lost
-        // ack keeps the payload alive.
-        if (endpoint_crashed ||
-            (wire_round - p.last_tx >= retransmit_after_ &&
-             p.attempts > max_retransmits_)) {
-          it = payloads_.erase(it);
-          continue;
-        }
-      } else if (endpoint_crashed || (wire_round - p.last_tx >=
-                                          retransmit_after_ &&
-                                      p.attempts > max_retransmits_)) {
-        // Permanently dead: the copies it sent were each counted dropped
-        // (or are still pending) individually.
-        --unresolved_payloads_;
-        it = payloads_.erase(it);
-        continue;
+  if (retransmit_after_ > 0 && open_payloads_ > 0) {
+    // Retransmit scan in payload-id (= original send) order, one word of
+    // the open set at a time. Every undelivered payload was born in the
+    // current protocol round — end_round() never returns while one is
+    // open — and the scan opens no payload, so the window holds still.
+    trim_window();
+    const std::size_t words_mask = open_bits_.size() - 1;
+    const std::int64_t first_word = window_base_ >> 6;
+    const std::int64_t last_word = (next_payload_id_ - 1) >> 6;
+    for (std::int64_t w = first_word; w <= last_word; ++w) {
+      std::uint64_t bits = open_bits_[static_cast<std::size_t>(w) & words_mask];
+      // A full window that starts mid-word wraps onto its own first word:
+      // keep only the bits of ids inside [window_base_, next_payload_id_).
+      if (w == first_word) bits &= ~std::uint64_t{0} << (window_base_ & 63);
+      if (w == last_word) {
+        bits &= ~std::uint64_t{0} >> (63 - ((next_payload_id_ - 1) & 63));
       }
-      if (wire_round - p.last_tx >= retransmit_after_) {
-        ++p.attempts;
-        p.last_tx = wire_round;
-        ++stats_.retransmitted;
-        record_trace_event(p.from, p.to, p.msg);
-        transmit_copy(p.from, p.to, p.ordinal, it->first, /*is_ack=*/false,
-                      /*may_duplicate=*/true, p.msg);
+      while (bits != 0) {
+        const int bit = std::countr_zero(bits);
+        bits &= bits - 1;
+        retransmit_or_retire(w * 64 + bit, wire_round);
       }
-      ++it;
     }
   }
   // Drain the copies due this wire round, in enqueue order. Acks created
@@ -451,44 +469,73 @@ void Network::run_wire_round() {
   if (round_hook_) round_hook_(stats_);
 }
 
+void Network::retransmit_or_retire(std::int64_t id, std::int64_t wire_round) {
+  Payload& p = payload(id);
+  const bool endpoint_crashed =
+      node_crashed(p.from, wire_round) || node_crashed(p.to, wire_round);
+  const bool due = wire_round - p.last_tx >= retransmit_after_;
+  if (endpoint_crashed || (due && p.attempts > max_retransmits_)) {
+    // Dead: a crashed endpoint can neither retransmit nor ack, and the
+    // attempt cap bounds how long a lost copy or ack keeps the payload
+    // alive. The copies it sent were each counted dropped (or are still
+    // pending) individually.
+    if (!p.delivered) retire_undelivered(p);
+    close_payload(id);
+    return;
+  }
+  if (due) {
+    ++p.attempts;
+    p.last_tx = wire_round;
+    ++stats_.retransmitted;
+    record_trace_event(p.from, p.to, p.msg);
+    transmit_copy(p.from, p.to, id, /*is_ack=*/false, /*may_duplicate=*/true,
+                  p.msg);
+  }
+}
+
 void Network::deliver_copy(const WireCopy& copy, std::int64_t wire_round) {
   if (copy.is_ack) {
     // The sender forgets an acked payload; a stale ack (payload already
-    // erased) or an ack into a crashed sender is silently ignored.
-    if (!node_crashed(copy.to, wire_round)) payloads_.erase(copy.payload_id);
+    // closed) or an ack into a crashed sender is silently ignored.
+    if (!node_crashed(copy.to, wire_round) && payload_open(copy.seq)) {
+      close_payload(copy.seq);
+    }
     return;
   }
   --pending_copies_;
+  if (retransmit_after_ == 0) {
+    if (node_crashed(copy.to, wire_round)) {
+      ++stats_.dropped;
+      return;
+    }
+    stage_arrival(copy.to, copy.seq, Envelope{copy.from, copy.msg});
+    ++stats_.delivered;
+    return;
+  }
+  const bool open = payload_open(copy.seq);
   if (node_crashed(copy.to, wire_round)) {
     ++stats_.dropped;
-    if (copy.payload_id >= 0) {
-      const auto it = payloads_.find(copy.payload_id);
-      if (it != payloads_.end() && !it->second.delivered) {
-        --unresolved_payloads_;
-        payloads_.erase(it);
-      }
+    if (open && !payload(copy.seq).delivered) {
+      retire_undelivered(payload(copy.seq));
+      close_payload(copy.seq);
     }
     return;
   }
-  if (copy.payload_id >= 0) {
-    const auto it = payloads_.find(copy.payload_id);
-    if (it == payloads_.end() || it->second.delivered) {
-      // Idempotent-delivery filter: this sequence number already reached
-      // the inbox (network duplicate, delayed copy, or a retransmission
-      // whose ack was lost). Re-ack so the sender stops retrying.
-      ++stats_.filtered;
-    } else {
-      it->second.delivered = true;
-      --unresolved_payloads_;
-      stage_arrival(copy.to, copy.ordinal, Envelope{copy.from, copy.msg});
-      ++stats_.delivered;
-    }
-    transmit_copy(copy.to, copy.from, copy.ordinal, copy.payload_id,
-                  /*is_ack=*/true, /*may_duplicate=*/false, copy.msg);
-    return;
+  if (!open || payload(copy.seq).delivered) {
+    // Idempotent-delivery filter: this sequence number already reached
+    // the inbox (network duplicate, delayed copy, or a retransmission
+    // whose ack was lost). Re-ack so the sender stops retrying.
+    ++stats_.filtered;
+  } else {
+    Payload& p = payload(copy.seq);
+    p.delivered = true;
+    --unresolved_payloads_;
+    arenas_[delivered_ ^ 1].slots[static_cast<std::size_t>(p.slot)] =
+        Envelope{copy.from, copy.msg};
+    ++stats_.delivered;
   }
-  stage_arrival(copy.to, copy.ordinal, Envelope{copy.from, copy.msg});
-  ++stats_.delivered;
+  transmit_copy(copy.to, copy.from, copy.seq, /*is_ack=*/true,
+                /*may_duplicate=*/false, copy.msg);
 }
 
 void Network::stage_arrival(NodeId to, std::int64_t ordinal,
@@ -498,16 +545,16 @@ void Network::stage_arrival(NodeId to, std::int64_t ordinal,
   staged.push_back(StagedArrival{ordinal, env});
 }
 
-void Network::publish_fault_round() {
+void Network::publish_raw_round() {
   for (const NodeId v : f_front_dirty_) {
     f_front_[static_cast<std::size_t>(v)].clear();
   }
   f_front_dirty_.clear();
   for (const NodeId v : f_staging_dirty_) {
     auto& staged = f_staging_[static_cast<std::size_t>(v)];
-    // Commit-ordinal order: a reliable faulty execution reads each inbox
-    // in exactly the fault-free order (duplicates of one send share its
-    // ordinal; the stable sort keeps their arrival order).
+    // Commit-ordinal order: delayed copies and duplicates arrive out of
+    // send order (duplicates of one send share its ordinal; the stable
+    // sort keeps their arrival order).
     std::stable_sort(staged.begin(), staged.end(),
                      [](const StagedArrival& a, const StagedArrival& b) {
                        return a.ordinal < b.ordinal;
@@ -518,6 +565,108 @@ void Network::publish_fault_round() {
     f_front_dirty_.push_back(v);
   }
   f_staging_dirty_.clear();
+  raw_inboxes_ = true;
+}
+
+void Network::publish_reliable_round() {
+  // Every slot reserved this round now holds its payload's envelope or,
+  // for a payload that died undelivered, a hole. Close the holes row by
+  // row, keeping send order, and unlist the rows they emptied.
+  Arena& filled = arenas_[delivered_ ^ 1];
+  if (!holed_rows_.empty()) {
+    bool emptied = false;
+    for (const NodeId v : holed_rows_) {
+      Envelope* row = filled.slots.get() + slot_offset_[v];
+      auto& fill = filled.fill[static_cast<std::size_t>(v)];
+      NodeId kept = 0;
+      for (NodeId i = 0; i < fill; ++i) {
+        if (row[i].from != kNoNode) row[kept++] = row[i];
+      }
+      fill = kept;
+      emptied = emptied || kept == 0;
+    }
+    holed_rows_.clear();
+    if (emptied) {
+      std::erase_if(filled.dirty, [&](NodeId v) {
+        return filled.fill[static_cast<std::size_t>(v)] == 0;
+      });
+    }
+  }
+  flip_arenas();
+}
+
+void Network::retire_undelivered(const Payload& p) {
+  --unresolved_payloads_;
+  arenas_[delivered_ ^ 1].slots[static_cast<std::size_t>(p.slot)] =
+      Envelope{kNoNode, Message{}};
+  holed_rows_.push_back(p.to);
+}
+
+bool Network::payload_open(std::int64_t id) const {
+  if (id < window_base_ || id >= next_payload_id_) return false;
+  const auto i = static_cast<std::size_t>(id) & window_mask_;
+  return (open_bits_[i >> 6] >> (i & 63)) & 1;
+}
+
+std::int64_t Network::open_payload(const Payload& p) {
+  const auto capacity = static_cast<std::int64_t>(window_mask_ + 1);
+  if (next_payload_id_ - window_base_ == capacity) {
+    trim_window();
+    if (next_payload_id_ - window_base_ == capacity) grow_window();
+  }
+  const std::int64_t id = next_payload_id_++;
+  const auto i = static_cast<std::size_t>(id) & window_mask_;
+  window_[i] = p;
+  open_bits_[i >> 6] |= std::uint64_t{1} << (i & 63);
+  ++open_payloads_;
+  return id;
+}
+
+void Network::close_payload(std::int64_t id) {
+  const auto i = static_cast<std::size_t>(id) & window_mask_;
+  open_bits_[i >> 6] &= ~(std::uint64_t{1} << (i & 63));
+  --open_payloads_;
+}
+
+void Network::trim_window() {
+  // Advance the base to the oldest open id, skipping closed ids a word at
+  // a time. From the base on, a set bit always belongs to an open id of
+  // the window (every closed id clears its bit, and the ids a slot held
+  // before are all older than the base).
+  while (window_base_ < next_payload_id_) {
+    const auto i = static_cast<std::size_t>(window_base_) & window_mask_;
+    const std::uint64_t bits = open_bits_[i >> 6] >> (i & 63);
+    if (bits != 0) {
+      window_base_ += std::countr_zero(bits);
+      return;
+    }
+    window_base_ += static_cast<std::int64_t>(64 - (i & 63));
+  }
+  window_base_ = next_payload_id_;
+}
+
+void Network::grow_window() {
+  // The first window spans four rounds of sends on every edge (capped at
+  // 2^16 ids): a round opens at most one payload per directed edge, and
+  // under 5% loss a saturated network's window stays within that. Later
+  // windows double. Open payloads keep their ids and move to their slots
+  // under the wider mask.
+  const auto edges = static_cast<std::size_t>(slot_offset_[node_count()]);
+  const std::size_t capacity =
+      window_ == nullptr
+          ? std::bit_ceil(std::clamp<std::size_t>(4 * edges, 64, 1 << 16))
+          : 2 * (window_mask_ + 1);
+  RawArray<Payload> window = raw_array<Payload>(capacity);
+  std::vector<std::uint64_t> bits(capacity / 64, 0);
+  for (std::int64_t id = window_base_; id < next_payload_id_; ++id) {
+    if (!payload_open(id)) continue;
+    const auto i = static_cast<std::size_t>(id) & (capacity - 1);
+    window[i] = payload(id);
+    bits[i >> 6] |= std::uint64_t{1} << (i & 63);
+  }
+  window_ = std::move(window);
+  window_mask_ = capacity - 1;
+  open_bits_ = std::move(bits);
 }
 
 void Network::set_round_hook(std::function<void(const NetStats&)> hook) {
@@ -538,7 +687,7 @@ void Network::set_metrics(obs::MetricsRegistry* registry) {
 
 InboxView Network::inbox(NodeId v) const {
   DASM_CHECK(v >= 0 && v < node_count());
-  if (fault_mode_) [[unlikely]] {
+  if (raw_inboxes_) [[unlikely]] {
     const auto& box = f_front_[static_cast<std::size_t>(v)];
     return InboxView{box.data(), box.size()};
   }

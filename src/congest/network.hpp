@@ -30,13 +30,16 @@
 // end_round() flips the buffers by index and resets only the slots that
 // were actually used. inbox(v) hands out a view into the current arena,
 // and receivers() lists the nodes whose inbox the last end_round() filled,
-// so a caller can step only the nodes that have something to read.
+// so a caller can step only the nodes that have something to read. The
+// reliability sublayer (set_reliable_transport) keeps inboxes in the same
+// arenas and reuses its payload window and wire ring from round to round,
+// so its steady-state rounds allocate nothing either; only raw loss
+// stages inboxes in growable per-node vectors (DESIGN.md §8).
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <new>
 #include <span>
@@ -157,9 +160,9 @@ class Network {
   /// receiving. Fault decisions come from a counter-based PRNG keyed on
   /// (plan seed, wire round, edge, copy id), so the same seed and plan
   /// reproduce byte-identical inboxes, NetStats, and traces. Only
-  /// callable between rounds. Passing a default
-  /// (inactive) plan with no reliability sublayer restores the
-  /// zero-allocation fast path.
+  /// callable between rounds, with no wire copies in flight. Passing a
+  /// default (inactive) plan with no reliability sublayer restores the
+  /// fault-free fast path.
   void set_fault_plan(const FaultPlan& plan);
   const FaultPlan& fault_plan() const { return plan_; }
   bool fault_mode() const { return fault_mode_; }
@@ -179,7 +182,7 @@ class Network {
   /// counted in messages/bits. `max_retransmits` bounds the attempts per
   /// payload (then it counts as dropped) so an unlucky or partitioned
   /// edge cannot spin forever. Pass 0 to disable. Only callable between
-  /// rounds.
+  /// rounds, with no wire copies in flight.
   void set_reliable_transport(int retransmit_after, int max_retransmits = 64);
   int retransmit_after() const { return retransmit_after_; }
 
@@ -196,8 +199,8 @@ class Network {
   /// with a non-empty inbox appears exactly once, in no particular order.
   /// The view is invalidated by the next end_round().
   std::span<const NodeId> receivers() const {
-    return fault_mode_ ? std::span<const NodeId>(f_front_dirty_)
-                       : std::span<const NodeId>(arenas_[delivered_].dirty);
+    return raw_inboxes_ ? std::span<const NodeId>(f_front_dirty_)
+                        : std::span<const NodeId>(arenas_[delivered_].dirty);
   }
 
   /// True if the most recent end_round() delivered no messages at all —
@@ -244,42 +247,47 @@ class Network {
   // The slots are allocated but never initialized: send() writes a slot
   // before any inbox() view covers it, and filling 2 * sum(deg) slots up
   // front would be the largest cost of building a network.
-  struct FreeSlots {
-    void operator()(Envelope* slots) const { ::operator delete(slots); }
+  struct FreeRaw {
+    void operator()(void* p) const { ::operator delete(p); }
   };
+  template <typename T>
+  using RawArray = std::unique_ptr<T[], FreeRaw>;
+  template <typename T>
+  static RawArray<T> raw_array(std::size_t n) {
+    return RawArray<T>(static_cast<T*>(::operator new(n * sizeof(T))));
+  }
   struct Arena {
-    std::unique_ptr<Envelope[], FreeSlots> slots;
+    RawArray<Envelope> slots;
     std::vector<NodeId> fill;
     std::vector<NodeId> dirty;
   };
 
   // ---- Fault-injection state (DESIGN.md §8) ----
-  // A copy on the wire. `ordinal` is the global commit ordinal of the
-  // originating protocol send; inboxes are published sorted by it, so a
-  // reliable faulty execution reads messages in exactly the fault-free
-  // order. `payload_id` >= 0 ties the copy to a reliability payload (or,
-  // with `is_ack`, names the payload being acknowledged); -1 marks a raw
-  // unsequenced copy.
+  // A copy on the wire. Under reliable transport `seq` is the id of the
+  // payload it carries (or, with `is_ack`, acknowledges); under raw loss
+  // it is the commit ordinal of the originating send, by which the
+  // publish step sorts each inbox.
   struct WireCopy {
     NodeId from;
     NodeId to;
-    std::int64_t ordinal;
-    std::int64_t payload_id;
+    std::int64_t seq;
     bool is_ack;
     Message msg;
   };
   // A sequenced protocol send awaiting its ack (reliability sublayer).
+  // Until its first delivery it owns `slot`, the inbox slot of the
+  // filling arena that send() reserved for it.
   struct Payload {
     NodeId from;
     NodeId to;
-    std::int64_t ordinal;
+    std::int64_t slot;
     std::int64_t last_tx;  // wire round of the latest transmission
     int attempts;          // transmissions so far (1 = initial send only)
     bool delivered;
     Message msg;
   };
-  // An arrival staged for the current protocol round, keyed by the commit
-  // ordinal of its originating send for the publish-time sort.
+  // A raw-loss arrival staged for the current protocol round, keyed by the
+  // commit ordinal of its originating send for the publish-time sort.
   struct StagedArrival {
     std::int64_t ordinal;
     Envelope env;
@@ -319,31 +327,52 @@ class Network {
   std::size_t trace_size_ = 0;
   std::int64_t trace_dropped_ = 0;
 
-  // Fault mode replaces the fixed CSR arenas with growable per-node
-  // inboxes: delays, duplicates, and retransmissions can exceed the
-  // deg(v) slot bound the arenas rely on. f_staging_ accumulates
-  // (arrival) envelopes per receiver over the wire rounds of one protocol
-  // round; publish_fault_round() sorts each by ordinal into f_front_,
-  // which inbox() serves. The ring holds in-flight copies indexed by
+  // Fault mode (DESIGN.md §8). The ring holds in-flight copies indexed by
   // due-wire-round modulo its size (sized past max_delay so slots never
-  // collide). Fault mode allocates; the fault-free fast path in
-  // send()/end_round() costs one predicted branch.
+  // collide). Under reliable transport inboxes stay in the arenas: each
+  // send reserves the receiver's next slot in the filling arena, the
+  // payload's first delivery writes it, and a payload that dies
+  // undelivered leaves a hole that the publish step compacts away. Raw
+  // loss can put more than deg(v) copies into one inbox (duplicates,
+  // delays), so it stages arrivals per receiver in f_staging_, and the
+  // publish step sorts each by ordinal into f_front_, which inbox() then
+  // serves. The fault-free fast path in send()/end_round() costs one
+  // predicted branch.
   bool fault_mode_ = false;
+  bool raw_inboxes_ = false;  // the last end_round() published f_front_
   FaultPlan plan_;
   std::uint64_t drop_threshold_ = 0;
   std::uint64_t dup_threshold_ = 0;
   std::uint64_t delay_threshold_ = 0;
   // Per-directed-edge drop overrides: sorted (from << 32 | to) -> threshold.
   std::vector<std::pair<std::uint64_t, std::uint64_t>> edge_drop_override_;
+  // fault_round_key() of each decision stream for wire round keys_round_:
+  // every copy a wire round transmits shares it.
+  struct RoundKeys {
+    std::uint64_t drop, delay, delay_amount, duplicate, ack;
+  };
+  RoundKeys keys_{};
+  std::int64_t keys_round_ = -1;
   std::vector<Round> crash_round_;  // per node; empty = no crashes
   std::vector<std::vector<WireCopy>> ring_;
   std::vector<std::vector<StagedArrival>> f_staging_;
   std::vector<std::vector<Envelope>> f_front_;
   std::vector<NodeId> f_staging_dirty_;
   std::vector<NodeId> f_front_dirty_;
-  // Sequenced payloads by id; std::map so the retransmit scan iterates in
-  // deterministic id (= send) order.
-  std::map<std::int64_t, Payload> payloads_;
+  std::vector<NodeId> holed_rows_;  // receivers of this round's dead payloads
+  // Open payloads: ids follow send order, so they form a sliding window
+  // [window_base_, next_payload_id_). Payload id lives at
+  // window_[id & window_mask_], and that bit of open_bits_ is set iff id
+  // is open, so the retransmit scan visits open ids in id order a 64-bit
+  // word at a time. The capacity, a power of two, is sized once from the
+  // edge count (slots are written before they are read, so untouched ones
+  // cost no memory) and doubles only when an unacked payload pins a
+  // window longer than that.
+  RawArray<Payload> window_;
+  std::size_t window_mask_ = 0;  // capacity - 1; 0 until reliable
+  std::vector<std::uint64_t> open_bits_;
+  std::int64_t window_base_ = 0;
+  std::int64_t open_payloads_ = 0;
   std::int64_t next_payload_id_ = 0;
   std::int64_t commit_ordinal_ = 0;
   std::int64_t copy_counter_ = 0;
@@ -358,18 +387,35 @@ class Network {
   bool node_crashed(NodeId v, std::int64_t wire_round) const;
   std::uint64_t drop_threshold_for(NodeId from, NodeId to) const;
   void refresh_fault_mode();
+  // Resets the retired (readable) arena and makes the filled one readable.
+  void flip_arenas();
   // Rolls drop/delay/duplicate for one wire copy at the current wire round
   // and either enqueues it into the ring or counts it dropped.
-  void transmit_copy(NodeId from, NodeId to, std::int64_t ordinal,
-                     std::int64_t payload_id, bool is_ack, bool may_duplicate,
-                     const Message& msg);
+  void transmit_copy(NodeId from, NodeId to, std::int64_t seq, bool is_ack,
+                     bool may_duplicate, const Message& msg);
   void fault_commit_send(NodeId from, NodeId to, const Message& msg);
   // One wire round: retransmit scan, ring-slot drain (deliveries, acks,
   // duplicate filtering), then the round clock tick and obs hook.
   void run_wire_round();
+  void retransmit_or_retire(std::int64_t id, std::int64_t wire_round);
   void deliver_copy(const WireCopy& copy, std::int64_t wire_round);
   void stage_arrival(NodeId to, std::int64_t ordinal, const Envelope& env);
-  void publish_fault_round();
+  void publish_raw_round();
+  void publish_reliable_round();
+
+  // The payload window.
+  Payload& payload(std::int64_t id) {
+    return window_[static_cast<std::size_t>(id) & window_mask_];
+  }
+  bool payload_open(std::int64_t id) const;
+  std::int64_t open_payload(const Payload& p);
+  void close_payload(std::int64_t id);
+  // A payload that dies undelivered marks its reserved slot as a hole.
+  // Undelivered payloads all belong to the open protocol round, so the
+  // slot is in the filling arena.
+  void retire_undelivered(const Payload& p);
+  void trim_window();
+  void grow_window();
 };
 
 }  // namespace dasm

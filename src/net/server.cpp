@@ -419,6 +419,7 @@ void Server::run_pending_batch() {
     os.str(std::string());
     resp.write_line(os);
     m_responses_.inc();
+    if (!resp.error.empty()) m_err_lines_.inc();
     append_out(*conn_it->second, os.str());
     // A finished peer (EOF already seen) lingers only for its responses.
     Connection& conn = *conn_it->second;

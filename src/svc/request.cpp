@@ -60,6 +60,15 @@ Algo parse_algo(const std::string& tok) {
   return Algo::kAsm;
 }
 
+// What one request may buy on the wire (DESIGN.md §9). With these a
+// reliable payload lives at most (64 + 1) * 16 wire rounds, a lossy run
+// settles every protocol round long before the network's settle check,
+// and a raw mm run stops after 256 iterations.
+constexpr double kMaxDrop = 0.5;
+constexpr int kMaxRetransmitAfter = 16;
+constexpr int kMaxRetransmits = 64;
+constexpr int kMaxIterations = 256;
+
 // The largest generation a declaration may ask for, in steps: exactly
 // i4096's n^2 Bernoulli draws, the largest instance of the benchmark
 // corpus. Above it one line could exhaust memory or hold the caller (the
@@ -101,6 +110,19 @@ void set_request_key(Request& req, const std::string& key,
 
 void check_request(const Request& req) {
   req.fault_plan.validate();
+  DASM_CHECK_MSG(req.fault_plan.drop <= kMaxDrop,
+                 "drop must be <= " << kMaxDrop << ", got "
+                                    << req.fault_plan.drop);
+  DASM_CHECK_MSG(req.retransmit_after <= kMaxRetransmitAfter,
+                 "retransmit-after must be <= " << kMaxRetransmitAfter
+                                                << ", got "
+                                                << req.retransmit_after);
+  DASM_CHECK_MSG(req.max_retransmits <= kMaxRetransmits,
+                 "max-retransmits must be <= " << kMaxRetransmits << ", got "
+                                               << req.max_retransmits);
+  DASM_CHECK_MSG(req.mm_iterations <= kMaxIterations,
+                 "iters must be <= " << kMaxIterations << ", got "
+                                     << req.mm_iterations);
   // Raw loss (faults without the reliability sublayer) aborts asm and
   // rand-asm, and can keep an mm run without an iteration budget from
   // ever ending.
@@ -176,6 +198,10 @@ std::uint64_t Request::params_digest() const {
 }
 
 void Response::write_line(std::ostream& os) const {
+  if (!error.empty()) {
+    os << "ERR " << error << '\n';
+    return;
+  }
   os << "r " << id << " inst " << instance << " algo " << to_string(algo)
      << " key " << to_hex(key) << " matched " << matched;
   if (algo == Algo::kMm) {

@@ -17,7 +17,9 @@
 // names, and malformed values all fail with a diagnostic. So does raw
 // loss (DESIGN.md §8): `drop` needs `retransmit-after` >= 1, except on an
 // mm request with `iters` >= 1, because raw loss aborts asm and rand-asm
-// and can keep an unbudgeted mm run live forever.
+// and can keep an unbudgeted mm run live forever. So do values past the
+// bounds on what one request may buy (drop 0.5, retransmit-after 16,
+// max-retransmits 64, iters 256).
 //
 // Response log: one line per request, in arrival order. The line is a
 // pure function of (instance, parameters) — cache state, batching, and
@@ -27,6 +29,10 @@
 //   dasm-responses 1
 //   r 0 inst g0 algo asm key 5f1d... matched 64 blocking 3 rounds 118 messages 40210 bits 643360
 //   r 2 inst tiny algo mm key 9a00... matched 3 maximal 1 rounds 9 messages 120 bits 1920
+//   ERR maximal matching failed to converge within the safety cap
+//
+// The last form answers a request whose run failed one of the engine's
+// checks; it takes the request's place (and its id) in the log.
 #pragma once
 
 #include <cstdint>
@@ -68,7 +74,8 @@ struct Request {
 
 /// The committed answer to one request. Payload fields (everything except
 /// `id`) are a pure function of the cache key, so a cache hit replays the
-/// cold run's bytes exactly.
+/// cold run's bytes exactly. A request whose run failed a check carries
+/// the check's message in `error` and is answered `ERR <error>`.
 struct Response {
   std::int64_t id = 0;  ///< arrival ordinal assigned by MatchService::submit
   std::string instance;
@@ -80,6 +87,8 @@ struct Response {
   std::int64_t rounds = 0;     ///< NetStats::executed_rounds of the run
   std::int64_t messages = 0;
   std::int64_t bits = 0;
+  std::string error;  ///< non-empty: the run failed a check (no other
+                      ///< payload field is meaningful)
 
   void write_line(std::ostream& os) const;
 
@@ -120,7 +129,9 @@ void set_request_key(Request& request, const std::string& key,
                      const std::string& value);
 
 /// The checks that need the whole request, run once every key is set:
-/// FaultPlan::validate() and the raw-loss rule above.
+/// FaultPlan::validate(), the raw-loss rule above, and the bounds on what
+/// one request may buy: drop <= 0.5, retransmit-after <= 16,
+/// max-retransmits <= 64 and iters <= 256.
 void check_request(const Request& request);
 
 /// Parses the body of an `instance` line — everything after the

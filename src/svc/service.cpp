@@ -172,7 +172,18 @@ std::int64_t MatchService::run_batch() {
         const Pending& p = *cells[static_cast<std::size_t>(i)];
         const auto t0 = time_cells ? std::chrono::steady_clock::now()
                                    : std::chrono::steady_clock::time_point{};
-        CellResult out{execute_request(*p.inst, p.request)};
+        CellResult out;
+        try {
+          out.resp = execute_request(*p.inst, p.request);
+        } catch (const CheckError& e) {
+          // Answered in its place with the check's message (never what(),
+          // which names source files), kept on one line. Like any payload
+          // it is a pure function of the key, so it is cached like one.
+          out.resp.error = e.message();
+          for (char& c : out.resp.error) {
+            if (c == '\n' || c == '\r' || c == '\0') c = ' ';
+          }
+        }
         if (time_cells) {
           out.execute_us =
               std::chrono::duration_cast<std::chrono::microseconds>(

@@ -106,7 +106,9 @@ class MatchService {
   std::int64_t submit(const Request& request);
 
   /// Executes every pending request and commits their responses in
-  /// arrival order. Returns the number of responses committed.
+  /// arrival order. A request whose run fails a check is answered in its
+  /// place with Response::error set; it never aborts the batch. Returns
+  /// the number of responses committed.
   std::int64_t run_batch();
 
   /// Runs batches until the queue is empty.
@@ -173,7 +175,9 @@ mm::RunConfig mm_config(const Request& request);
 
 /// Executes one request against a stored instance — the same code path
 /// whether called from a batch cell or from a naive per-request loop
-/// (bench_a9's baseline). The returned payload has id = -1.
+/// (bench_a9's baseline). The returned payload has id = -1. Throws
+/// CheckError when the run fails one of the engine's checks; run_batch()
+/// answers such a cell with an `ERR` response and goes on with the rest.
 Response execute_request(const StoredInstance& inst, const Request& request);
 
 }  // namespace dasm::svc

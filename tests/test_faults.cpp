@@ -6,6 +6,7 @@
 // standalone mm::Runner.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -384,6 +385,54 @@ TEST(ReliableTransportTest, ReliableRunMatchesFaultFreeInboxes) {
   }
   EXPECT_EQ(reliable.stats().messages, clean.stats().messages);
   EXPECT_EQ(reliable.stats().delivered, clean.stats().delivered);
+}
+
+TEST(ReliableTransportTest, DeadPayloadsLeaveNoHoleAndNoEmptyReceiver) {
+  // Payloads that die undelivered — at the retransmit cap on an always-
+  // lossy edge, or when an endpoint crashes mid-round — give up the inbox
+  // slot their send reserved: the published inbox holds exactly the
+  // surviving payloads in send order, receivers() never lists an inbox
+  // that ended up empty, and every copy is accounted for.
+  Network net(star5());
+  FaultPlan plan;
+  plan.seed = 61;
+  plan.edge_drops = {EdgeDrop{2, 0, 1.0}, EdgeDrop{3, 0, 1.0},
+                     EdgeDrop{0, 2, 1.0}};
+  plan.crashes.push_back(CrashEvent{1, 3});  // wire round 1: mid-round 0
+  net.set_fault_plan(plan);
+  net.set_reliable_transport(/*retransmit_after=*/1, /*max_retransmits=*/1);
+  for (int round = 0; round < 3; ++round) {
+    net.begin_round();
+    for (NodeId leaf = 1; leaf <= 4; ++leaf) {
+      net.send(leaf, 0, Message{MsgType::kPropose, leaf, round});
+    }
+    net.send(0, 2, Message{MsgType::kAccept, 20, round});
+    net.send(0, 1, Message{MsgType::kAccept, 10, round});
+    net.end_round();
+    // Round 0 spans several wire rounds (2 -> 0 retransmits once, then
+    // dies at the cap), so node 3 crashes while its payload is open.
+    if (round == 0) {
+      EXPECT_GT(net.stats().executed_rounds, 2);
+    }
+
+    const InboxView center = net.inbox(0);
+    ASSERT_EQ(center.size(), 2u) << "round " << round;
+    EXPECT_EQ(center[0], (Envelope{1, Message{MsgType::kPropose, 1, round}}));
+    EXPECT_EQ(center[1], (Envelope{4, Message{MsgType::kPropose, 4, round}}));
+    ASSERT_EQ(net.inbox(1).size(), 1u);
+    EXPECT_EQ(net.inbox(1)[0].msg.a, 10);
+    EXPECT_TRUE(net.inbox(2).empty());
+    EXPECT_TRUE(net.inbox(3).empty());
+    EXPECT_TRUE(net.inbox(4).empty());
+    std::vector<NodeId> receivers(net.receivers().begin(),
+                                  net.receivers().end());
+    std::sort(receivers.begin(), receivers.end());
+    EXPECT_EQ(receivers, (std::vector<NodeId>{0, 1})) << "round " << round;
+    EXPECT_EQ(conservation_gap(net), 0) << "round " << round;
+  }
+  EXPECT_EQ(net.stats().messages, 18);
+  EXPECT_EQ(net.stats().delivered, 9);
+  EXPECT_GT(net.stats().retransmitted, 0);
 }
 
 // ---------------------------------------------------------------------------

@@ -558,6 +558,11 @@ TEST(ServeMalformed, BadLinesAnswerErrWithoutDesyncingTheStream) {
       {"request g asm eps 0.5 seed 1 drop 0.1\n", "retransmit-after"},
       {"request g rand-asm drop 0.05\n", "retransmit-after"},
       {"request g mm backend ii drop 0.1\n", "or iters"},
+      // Past the bounds one request could hold the poll thread for minutes.
+      {"request g asm eps 0.25 drop 1 retransmit-after 1\n",
+       "drop must be <= 0.5"},
+      {"request g mm backend ii iters 2000000000 drop 0.1\n",
+       "iters must be <= 256"},
       {"request g asm eps 2\n", "eps must be in (0, 1], got 2"},
       {"instance u gen bogus 10 1\n", "unknown instance family 'bogus'"},
       // Would lay out 4 * 10^10 ids on the poll thread; refused first.
@@ -576,6 +581,43 @@ TEST(ServeMalformed, BadLinesAnswerErrWithoutDesyncingTheStream) {
   // and gets per-connection sequence number 0 (ERR lines consume none).
   client.send_all("request g asm eps 0.5\n");
   EXPECT_EQ(client.must_read_line().rfind("r 0 ", 0), 0u);
+}
+
+// A request that parses but whose run fails one of the engine's checks
+// (the schedule's k >= 1; a payload dead at the retransmit cap, which
+// leaves Step 3 unable to finish) is answered ERR in its place. It must
+// neither end the server nor hold back the requests after it, and the
+// stream stays byte-identical to `dasm batch`.
+TEST(ServeMalformed, FailingRunsAnswerErrAndTheServerKeepsServing) {
+  const std::string text =
+      "dasm-requests 1\n"
+      "instance c gen chain 16 7\n"
+      "request c asm eps 0.000000001\n"
+      "request c asm eps 0.5\n"
+      "request c asm eps 0.5 drop 0.5 retransmit-after 1 max-retransmits 1\n"
+      "request c asm eps 0.5 seed 2\n";
+  const std::string expected = batch_reference(text);
+
+  TestServer ts;
+  ts.config.svc.threads = 2;
+  ts.start();
+  Client client(ts.port());
+  client.send_all(text);
+  const std::vector<std::string> lines = client.must_read_lines(1 + 4);
+  EXPECT_EQ(lines[1], "ERR invalid input");
+  EXPECT_EQ(lines[2].rfind("r 1 ", 0), 0u) << lines[2];
+  EXPECT_EQ(lines[3],
+            "ERR maximal matching failed to converge within the safety cap");
+  EXPECT_EQ(lines[4].rfind("r 3 ", 0), 0u) << lines[4];
+  std::string actual;
+  for (const auto& l : lines) actual += l + "\n";
+  EXPECT_EQ(actual, expected);
+
+  // The server outlived both failures: a new connection is served too.
+  Client again(ts.port());
+  again.send_all("dasm-requests 1\nrequest c asm eps 0.5 seed 3\n");
+  EXPECT_EQ(again.must_read_line(), "dasm-responses 1");
+  EXPECT_EQ(again.must_read_line().rfind("r 0 ", 0), 0u);
 }
 
 TEST(ServeMalformed, OversizedLinesResyncAtTheNextNewline) {

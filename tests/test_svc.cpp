@@ -239,6 +239,24 @@ TEST(SvcRequestFile, RejectsMalformedInput) {
   EXPECT_NO_THROW(parse("dasm-requests 1\ninstance a gen complete 8 1\n"
                         "request a mm drop 0.1 iters 1\n"
                         "request a asm drop 0.1 retransmit-after 1\n"));
+  // Bounds on what one request may buy: past them a single lossy or raw
+  // request held `dasm serve`'s poll thread for minutes.
+  for (const char* costly :
+       {"request a asm drop 0.51 retransmit-after 1\n",
+        "request a asm drop 1 retransmit-after 1\n",
+        "request a asm drop 0.1 retransmit-after 17\n",
+        "request a asm drop 0.1 retransmit-after 1 max-retransmits 65\n",
+        "request a asm drop 0.5 retransmit-after 1 max-retransmits 100000000\n",
+        "request a mm backend ii iters 257\n",
+        "request a mm backend ii iters 2000000000 drop 0.1\n"}) {
+    const std::string text =
+        std::string("dasm-requests 1\ninstance a gen complete 8 1\n") + costly;
+    EXPECT_THROW(parse(text.c_str()), CheckError) << costly;
+  }
+  EXPECT_NO_THROW(
+      parse("dasm-requests 1\ninstance a gen complete 8 1\n"
+            "request a asm drop 0.5 retransmit-after 16 max-retransmits 64\n"
+            "request a mm backend ii drop 0.5 iters 256\n"));
 }
 
 TEST(SvcRequestFile, OversizedDeclarationsAreRefusedBeforeGenerating) {
@@ -411,6 +429,58 @@ TEST(SvcService, CachedLogMatchesDirectExecution) {
   service.write_responses(served);
   write_responses(executed, direct);
   EXPECT_EQ(served.str(), executed.str());
+}
+
+// A request whose run fails one of the engine's checks is answered ERR in
+// its place; the batch around it commits as if it were not there.
+TEST(SvcService, FailingRunsAnswerErrAndSpareTheBatch) {
+  Request valid;
+  valid.instance = "c";
+  valid.epsilon = 0.5;
+  Request tiny_eps = valid;  // the schedule needs k >= 1
+  tiny_eps.epsilon = 1e-9;
+  Request dead = valid;  // a payload dies at the cap; Step 3 cannot finish
+  dead.fault_plan.drop = 0.5;
+  dead.retransmit_after = 1;
+  dead.max_retransmits = 1;
+  Request other = valid;
+  other.seed = 2;
+  const std::vector<Request> stream = {valid, tiny_eps, other, dead,
+                                       valid, dead};
+
+  std::string logs[2];
+  for (const int threads : {1, 4}) {
+    SvcConfig config;
+    config.threads = threads;
+    MatchService service(config);
+    service.instances().add("c", gen::gs_displacement_chain(16));
+    for (const Request& r : stream) ASSERT_GE(service.submit(r), 0);
+    service.run_batch();
+    const std::vector<Response>& got = service.responses();
+    ASSERT_EQ(got.size(), stream.size());
+    EXPECT_EQ(got[1].error, "invalid input");
+    EXPECT_EQ(got[3].error,
+              "maximal matching failed to converge within the safety cap");
+    EXPECT_EQ(got[5].error, got[3].error);  // in-batch duplicate
+    const StoredInstance& inst = *service.instances().find("c");
+    for (const std::size_t i : {0, 2, 4}) {
+      Response want = execute_request(inst, stream[i]);
+      want.id = static_cast<std::int64_t>(i);
+      EXPECT_EQ(got[i], want) << i;
+    }
+    // A later batch replays the failure from the cache.
+    ASSERT_GE(service.submit(dead), 0);
+    service.run_batch();
+    EXPECT_EQ(service.responses().back().error, got[3].error);
+    std::ostringstream os;
+    service.write_responses(os);
+    logs[threads == 1 ? 0 : 1] = os.str();
+  }
+  EXPECT_EQ(logs[0], logs[1]);
+  EXPECT_NE(logs[0].find("\nERR invalid input\nr 2 "), std::string::npos)
+      << logs[0];
+  EXPECT_EQ(logs[0].find("check failed"), std::string::npos);
+  EXPECT_EQ(logs[0].find(".cpp:"), std::string::npos);
 }
 
 TEST(SvcService, CacheHitReplayEqualsColdRun) {

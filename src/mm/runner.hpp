@@ -23,7 +23,11 @@ struct RunConfig {
   Backend backend = Backend::kIsraeliItai;
   std::uint64_t seed = 1;  ///< randomized backends only
   /// Maximum protocol iterations (MatchingRounds / sweeps); 0 means run
-  /// until global quiescence.
+  /// until global quiescence, which a run that has not reached after
+  /// 2n + 16 iterations fails with a CheckError (the safety cap of ASM's
+  /// Step 3; a crashed neighbour can keep a node live forever).
+  /// kColorClass's cap is its fixed schedule where that is longer:
+  /// max degree^2 + 1 iterations.
   int max_iterations = 0;
   /// Stop early once every node is quiescent (the matching is then
   /// maximal). Disable to always consume the full iteration budget, as a

@@ -141,12 +141,8 @@ void Server::run() {
       }
       const auto it = conns_.find(fd_conn[i]);
       if (it == conns_.end() || it->second->fd < 0) continue;
-      Connection& conn = *it->second;
       if ((fds[i].revents & (POLLIN | POLLHUP | POLLERR)) != 0) {
-        admitted += read_ready(conn);
-      }
-      if (conn.fd >= 0 && (fds[i].revents & POLLOUT) != 0) {
-        flush_ready(conn);
+        admitted += read_ready(*it->second);
       }
     }
 
@@ -157,6 +153,15 @@ void Server::run() {
          static_cast<std::int64_t>(service_.pending()) >=
              config_.batch_max_requests)) {
       run_pending_batch();
+    }
+
+    // One flush per connection per cycle: what this cycle's lines and
+    // batch appended, and what a socket that was full still owes, leaves
+    // in one send loop (a POLLOUT wake-up lands here too).
+    for (auto& [id, conn] : conns_) {
+      if (conn->fd >= 0 && conn->out_pos < conn->out.size()) {
+        flush_ready(*conn);
+      }
     }
 
     if (config_.idle_timeout_ms > 0) {
@@ -236,32 +241,25 @@ std::int64_t Server::read_ready(Connection& conn) {
     // Peer finished sending; flush what we owe it, then close. Responses
     // to its already-admitted requests are still routed and flushed.
     conn.close_after_flush = true;
-    if (conn.out.size() == conn.out_pos && !routes_pending_for(conn.id)) {
+    if (conn.out.size() == conn.out_pos && conn.unrouted == 0) {
       close_connection(conn.id);
     }
   }
   return admitted;
 }
 
-bool Server::routes_pending_for(std::int64_t conn_id) const {
-  for (const auto& [id, route] : routes_) {
-    if (route.conn_id == conn_id) return true;
-  }
-  return false;
-}
-
-bool Server::handle_line(Connection& conn, const std::string& line) {
+bool Server::handle_line(Connection& conn, std::string_view line) {
   if (conn.mode == Connection::Mode::kNew) {
     handle_first_line(conn, line);
     return false;
   }
   // kHttp connections never reach here (close_after_flush is set).
-  std::istringstream ls(line);
-  std::string kind;
-  if (!(ls >> kind)) return false;  // blank line: ignore
-  if (kind == "request") return handle_request_line(conn, ls);
+  svc::Tokens tokens(line);
+  const std::string_view kind = tokens.next();
+  if (kind.empty()) return false;  // blank line: ignore
+  if (kind == "request") return handle_request_line(conn, tokens.rest());
   if (kind == "instance") {
-    handle_instance_line(conn, ls);
+    handle_instance_line(conn, tokens.rest());
   } else {
     reply_err(conn, "expected 'request' or 'instance', got '" +
                         sanitize(kind) + "'");
@@ -269,13 +267,13 @@ bool Server::handle_line(Connection& conn, const std::string& line) {
   return false;
 }
 
-void Server::handle_first_line(Connection& conn, const std::string& line) {
+void Server::handle_first_line(Connection& conn, std::string_view line) {
   if (line == "dasm-requests 1") {
     conn.mode = Connection::Mode::kProto;
     append_out(conn, "dasm-responses 1\n");
     return;
   }
-  if (line.rfind("GET ", 0) == 0) {
+  if (line.starts_with("GET ")) {
     conn.mode = Connection::Mode::kHttp;
     // Set before the write: if the response flushes inline, flush_ready
     // closes the connection right away.
@@ -287,9 +285,9 @@ void Server::handle_first_line(Connection& conn, const std::string& line) {
   reply_err(conn, "expected 'dasm-requests 1' header or an HTTP GET");
 }
 
-bool Server::handle_request_line(Connection& conn, std::istream& rest) {
+bool Server::handle_request_line(Connection& conn, std::string_view body) {
   try {
-    const svc::Request req = svc::parse_request(rest);
+    const svc::Request req = svc::parse_request(body);
     if (service_.instances().find(req.instance) == nullptr) {
       reply_err(conn, "request names unregistered instance '" +
                           sanitize(req.instance) + "'");
@@ -300,7 +298,8 @@ bool Server::handle_request_line(Connection& conn, std::istream& rest) {
       append_out(conn, "ERR shed\n");
       return false;
     }
-    routes_[id] = Route{conn.id, conn.next_seq++};
+    routes_.push_back(Route{id, conn.id, conn.next_seq++});
+    ++conn.unrouted;
     m_requests_.inc();
     return true;
   } catch (const CheckError& e) {
@@ -309,9 +308,9 @@ bool Server::handle_request_line(Connection& conn, std::istream& rest) {
   }
 }
 
-void Server::handle_instance_line(Connection& conn, std::istream& rest) {
+void Server::handle_instance_line(Connection& conn, std::string_view body) {
   try {
-    const svc::RequestFile::InstanceDecl decl = svc::parse_instance_decl(rest);
+    const svc::RequestFile::InstanceDecl decl = svc::parse_instance_decl(body);
     if (decl.from_file) {
       // A wire client must not make the server open its files (or learn
       // their contents from parse diagnostics); file instances come from
@@ -333,13 +332,13 @@ void Server::handle_instance_line(Connection& conn, std::istream& rest) {
   }
 }
 
-void Server::serve_http(Connection& conn, const std::string& request_line) {
-  std::istringstream ls(request_line);
-  std::string method, path;
-  ls >> method >> path;
+void Server::serve_http(Connection& conn, std::string_view request_line) {
+  svc::Tokens tokens(request_line);
+  tokens.next();  // the method
+  const std::string_view path = tokens.next();
   std::string body;
   const char* status = "200 OK";
-  if (path == "/metrics" || path.rfind("/metrics?", 0) == 0) {
+  if (path == "/metrics" || path.starts_with("/metrics?")) {
     // A fresh snapshot per scrape; the registry is process-lifetime and
     // never reset, so every exported counter is monotonic across scrapes.
     std::ostringstream os;
@@ -368,15 +367,19 @@ void Server::reply_err(Connection& conn, const std::string& diagnostic) {
 
 void Server::append_out(Connection& conn, std::string_view bytes) {
   if (conn.fd < 0) return;
-  if (conn.out.size() - conn.out_pos + bytes.size() >
-      config_.write_buffer_limit) {
+  conn.out.append(bytes);
+  enforce_backlog(conn);
+}
+
+void Server::enforce_backlog(Connection& conn) {
+  const std::size_t backlog = conn.out.size() - conn.out_pos;
+  if (backlog > config_.write_buffer_limit) {
     // The consumer is too slow even after backpressure paused its reads:
     // drop it rather than buffer unboundedly.
     close_connection(conn.id);
-    return;
+  } else if (backlog >= config_.write_high_water) {
+    flush_ready(conn);
   }
-  conn.out.append(bytes);
-  flush_ready(conn);
 }
 
 void Server::flush_ready(Connection& conn) {
@@ -396,7 +399,8 @@ void Server::flush_ready(Connection& conn) {
   }
   conn.out.clear();
   conn.out_pos = 0;
-  if (conn.close_after_flush && !routes_pending_for(conn.id)) {
+  // A finished peer (EOF already seen) lingers only for its responses.
+  if (conn.close_after_flush && conn.unrouted == 0) {
     close_connection(conn.id);
   }
 }
@@ -404,29 +408,24 @@ void Server::flush_ready(Connection& conn) {
 void Server::run_pending_batch() {
   const obs::ScopedTimer timer(m_batch_us_);
   service_.run_batch();
-  std::ostringstream os;
   for (svc::Response& resp : service_.take_responses()) {
-    const auto it = routes_.find(resp.id);
-    DASM_DCHECK(it != routes_.end());
-    if (it == routes_.end()) continue;
-    const Route route = it->second;
-    routes_.erase(it);
-    const auto conn_it = conns_.find(route.conn_id);
-    if (conn_it == conns_.end() || conn_it->second->fd < 0) {
+    // Service ids are dense among admitted requests and come back in id
+    // order, so each response's route is the front of the FIFO.
+    DASM_DCHECK(!routes_.empty() && routes_.front().id == resp.id);
+    if (routes_.empty() || routes_.front().id != resp.id) continue;
+    const Route route = routes_.front();
+    routes_.pop_front();
+    const auto it = conns_.find(route.conn_id);
+    if (it == conns_.end() || it->second->fd < 0) {
       continue;  // connection went away while its request was in flight
     }
+    Connection& conn = *it->second;
+    --conn.unrouted;
     resp.id = route.seq;  // global arrival ordinal -> per-connection seq
-    os.str(std::string());
-    resp.write_line(os);
+    resp.append_line(conn.out);
     m_responses_.inc();
     if (!resp.error.empty()) m_err_lines_.inc();
-    append_out(*conn_it->second, os.str());
-    // A finished peer (EOF already seen) lingers only for its responses.
-    Connection& conn = *conn_it->second;
-    if (conn.fd >= 0 && conn.close_after_flush &&
-        conn.out.size() == conn.out_pos && !routes_pending_for(conn.id)) {
-      close_connection(conn.id);
-    }
+    enforce_backlog(conn);
   }
 }
 

@@ -23,18 +23,19 @@
 //                               path is a 404.
 //   anything else            -> "ERR ..." diagnostic, then close.
 //
-// Ordering/demux contract (the per-connection story the ROADMAP flagged):
-// internally responses commit in global arrival order — submit() tags
-// each admitted request with (connection id, per-connection sequence
-// number), and after every batch the router rewrites each committed
-// response's id to that per-connection sequence before appending it to
-// its own connection's write buffer. Each connection therefore receives
-// exactly its own responses, in its own submission order, numbered
-// 0,1,2,... regardless of how many connections interleave. Failed lines
-// answer immediately with a single "ERR <diagnostic>" line (no sequence
-// number, does not consume one); a full admission queue answers
-// "ERR shed". ERR lines interleave with response lines in processing
-// order, not submission order.
+// Ordering/demux contract: internally responses commit in global arrival
+// order — each admitted request's service id is queued, in a FIFO, with
+// its (connection id, per-connection sequence number), and after every
+// batch the router pops the FIFO's front for each committed response (the
+// service's ids are dense and come back in order), rewrites the
+// response's id to that per-connection sequence and serializes the line
+// straight into its own connection's write buffer. Each connection
+// therefore receives exactly its own responses, in its own submission
+// order, numbered 0,1,2,... regardless of how many connections
+// interleave. Failed lines answer immediately with a single
+// "ERR <diagnostic>" line (no sequence number, does not consume one); a
+// full admission queue answers "ERR shed". ERR lines interleave with
+// response lines in processing order, not submission order.
 //
 // Batching: admitted requests stay queued while the sockets are busy; a
 // batch runs as soon as a poll cycle delivers no new request line (the
@@ -42,10 +43,16 @@
 // single-request latency at one poll cycle while letting a streaming
 // client amortize scheduling across the whole batch.
 //
-// Backpressure: each connection has a bounded write buffer. Above
-// `write_high_water` the server stops reading from that connection (so a
-// slow consumer throttles its own request stream, not the service);
-// above `write_buffer_limit` the connection is dropped.
+// Writes: appending a line only buffers it. Once per poll cycle, after
+// the reads and the batch, every connection with pending bytes is flushed
+// in one send loop, so a burst's answers leave in one send(), not one
+// each.
+//
+// Backpressure: each connection has a bounded write buffer. A backlog
+// that reaches `write_high_water` is sent inline, without waiting for the
+// cycle's flush, and the server stops reading from that connection (so a
+// slow consumer throttles its own request stream, not the service); above
+// `write_buffer_limit` the connection is dropped.
 //
 // Shutdown: request_stop() (or the CLI's SIGTERM flag) triggers a
 // graceful drain — stop accepting, stop reading, run every pending
@@ -61,8 +68,10 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -80,8 +89,9 @@ struct ServeConfig {
   /// Framing limit; longer lines are answered with "ERR line too long"
   /// and discarded up to the next newline (see net/wire.hpp).
   std::size_t max_line_bytes = 1 << 16;
-  /// Backpressure: stop reading from a connection whose write buffer
-  /// exceeds the high-water mark; drop it at the hard limit.
+  /// Backpressure: a connection whose write buffer reaches the high-water
+  /// mark is sent to inline and no longer read; past the hard limit it is
+  /// dropped.
   std::size_t write_high_water = 1 << 18;
   std::size_t write_buffer_limit = 1 << 20;
   /// Connections idle (no bytes in either direction) longer than this are
@@ -145,6 +155,10 @@ class Server {
     std::string out;
     std::size_t out_pos = 0;
     std::int64_t next_seq = 0;  ///< per-connection response numbering
+    /// Admitted requests whose response is not routed yet (keeps an EOF'd
+    /// peer alive until everything it is owed has been routed and
+    /// flushed).
+    std::int64_t unrouted = 0;
     std::chrono::steady_clock::time_point last_activity;
     bool close_after_flush = false;
 
@@ -152,6 +166,7 @@ class Server {
   };
 
   struct Route {
+    std::int64_t id = 0;  ///< service id (arrival ordinal)
     std::int64_t conn_id = 0;
     std::int64_t seq = 0;
   };
@@ -162,21 +177,23 @@ class Server {
   /// number of request lines admitted (the batch trigger's "busy" signal).
   std::int64_t read_ready(Connection& conn);
   /// Returns true when the line was a request the service admitted.
-  bool handle_line(Connection& conn, const std::string& line);
-  void handle_first_line(Connection& conn, const std::string& line);
-  bool handle_request_line(Connection& conn, std::istream& rest);
-  void handle_instance_line(Connection& conn, std::istream& rest);
-  void serve_http(Connection& conn, const std::string& request_line);
+  bool handle_line(Connection& conn, std::string_view line);
+  void handle_first_line(Connection& conn, std::string_view line);
+  bool handle_request_line(Connection& conn, std::string_view body);
+  void handle_instance_line(Connection& conn, std::string_view body);
+  void serve_http(Connection& conn, std::string_view request_line);
   void reply_err(Connection& conn, const std::string& diagnostic);
+  /// Buffers bytes for the cycle's flush (see enforce_backlog).
   void append_out(Connection& conn, std::string_view bytes);
+  /// After an append: drops the connection past write_buffer_limit, and
+  /// sends inline once the backlog reaches write_high_water.
+  void enforce_backlog(Connection& conn);
+  /// The one send loop: sends until the backlog is empty or the socket is
+  /// full (time.net.write_us times each call).
   void flush_ready(Connection& conn);
   void run_pending_batch();
   void close_connection(std::int64_t conn_id);
   void drain_and_flush();
-  /// True while any admitted request of this connection still awaits its
-  /// response (keeps an EOF'd peer alive until everything it is owed has
-  /// been routed and flushed).
-  bool routes_pending_for(std::int64_t conn_id) const;
 
   ServeConfig config_;
   svc::MatchService service_;
@@ -187,7 +204,7 @@ class Server {
   // unordered_map keeps Connection addresses stable across accepts; the
   // poll set is rebuilt per cycle from it.
   std::unordered_map<std::int64_t, std::unique_ptr<Connection>> conns_;
-  std::unordered_map<std::int64_t, Route> routes_;  ///< service id -> conn
+  std::deque<Route> routes_;  ///< admitted requests, in service id order
   std::vector<std::int64_t> doomed_;  ///< closed mid-cycle, reaped after
 
   // net.* metrics (inactive when config_.metrics == nullptr).

@@ -41,14 +41,14 @@ void mix_fault_plan(Fnv1a& h, const FaultPlan& plan) {
   }
 }
 
-std::string to_hex(const CacheKey& key) {
+void append_hex(std::string& out, const CacheKey& key) {
   const std::uint64_t folded = CacheKeyHash{}(key);
   static const char* digits = "0123456789abcdef";
-  std::string out(16, '0');
+  char hex[16];
   for (int i = 0; i < 16; ++i) {
-    out[static_cast<std::size_t>(15 - i)] = digits[(folded >> (4 * i)) & 0xf];
+    hex[15 - i] = digits[(folded >> (4 * i)) & 0xf];
   }
-  return out;
+  out.append(hex, sizeof(hex));
 }
 
 }  // namespace dasm::svc

@@ -73,8 +73,8 @@ struct CacheKeyHash {
   }
 };
 
-/// Fixed-width lowercase-hex rendering of the folded key, used in response
-/// lines so a log line names its cache address.
-std::string to_hex(const CacheKey& key);
+/// Appends the fixed-width lowercase-hex rendering of the folded key (16
+/// digits), used in response lines so a log line names its cache address.
+void append_hex(std::string& out, const CacheKey& key);
 
 }  // namespace dasm::svc

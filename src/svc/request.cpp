@@ -1,11 +1,11 @@
 #include "svc/request.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <fstream>
 #include <limits>
 #include <optional>
 #include <ostream>
-#include <sstream>
 
 #include "gen/generators.hpp"
 #include "stable/instance.hpp"
@@ -16,17 +16,20 @@ namespace dasm::svc {
 
 namespace {
 
+void check_token(bool present, const char* what) {
+  DASM_CHECK_MSG(present, "unexpected end of input, expected " << what);
+}
+
 std::string next_token(std::istream& is, const char* what) {
   std::string tok;
-  DASM_CHECK_MSG(static_cast<bool>(is >> tok),
-                 "unexpected end of input, expected " << what);
+  check_token(static_cast<bool>(is >> tok), what);
   return tok;
 }
 
 // The whole token as an Int (util/parse.hpp): a value outside the
 // field's type is an error, never a narrowed one.
 template <typename Int>
-Int parse_int(const std::string& tok, const char* what) {
+Int parse_int(std::string_view tok, const char* what) {
   const std::optional<Int> v = parse_integer<Int>(tok);
   DASM_CHECK_MSG(v.has_value(), "expected " << what << " (an integer in ["
                                             << std::numeric_limits<Int>::min()
@@ -36,14 +39,14 @@ Int parse_int(const std::string& tok, const char* what) {
   return *v;
 }
 
-double parse_number(const std::string& tok, const char* what) {
+double parse_number(std::string_view tok, const char* what) {
   const std::optional<double> v = parse_double(tok);
   DASM_CHECK_MSG(v.has_value(), "expected " << what << " (a number), got '"
                                             << tok << "'");
   return *v;
 }
 
-mm::Backend parse_backend(const std::string& tok) {
+mm::Backend parse_backend(std::string_view tok) {
   if (tok == "det") return mm::Backend::kPointerGreedy;
   if (tok == "ii") return mm::Backend::kIsraeliItai;
   if (tok == "rp") return mm::Backend::kRandomPriority;
@@ -51,7 +54,7 @@ mm::Backend parse_backend(const std::string& tok) {
   return mm::Backend::kPointerGreedy;
 }
 
-Algo parse_algo(const std::string& tok) {
+Algo parse_algo(std::string_view tok) {
   if (tok == "asm") return Algo::kAsm;
   if (tok == "rand-asm") return Algo::kRandAsm;
   if (tok == "mm") return Algo::kMm;
@@ -75,10 +78,64 @@ constexpr int kMaxIterations = 256;
 // server's poll thread) for long.
 constexpr std::int64_t kMaxGenerationWork = std::int64_t{1} << 24;
 
+// The grammar after the `request` keyword, shared by both parse_request
+// forms: the name and algo tokens, then the key-value tail.
+Request request_from(std::string_view name, std::string_view algo,
+                     Tokens& tail) {
+  Request req;
+  req.instance = name;
+  req.algo = parse_algo(algo);
+  for (std::string_view key = tail.next(); !key.empty(); key = tail.next()) {
+    const std::string_view value = tail.next();
+    DASM_CHECK_MSG(!value.empty(),
+                   "request key '" << key << "' is missing its value");
+    set_request_key(req, key, value);
+  }
+  check_request(req);
+  return req;
+}
+
+// The grammar after the `instance` keyword, shared by both
+// parse_instance_decl forms; `next(what)` yields the next token or throws
+// check_token's error.
+template <typename Next>
+RequestFile::InstanceDecl instance_decl_from(Next&& next) {
+  RequestFile::InstanceDecl decl;
+  decl.name = next("instance name");
+  const std::string source(next("'file' or 'gen'"));
+  if (source == "file") {
+    decl.from_file = true;
+    decl.path = next("instance path");
+  } else if (source == "gen") {
+    decl.family = next("family");
+    decl.n = parse_int<NodeId>(next("instance size"), "instance size");
+    DASM_CHECK_MSG(decl.n > 0, "instance size must be positive");
+    decl.seed =
+        parse_int<std::uint64_t>(next("instance seed"), "instance seed");
+  } else {
+    DASM_CHECK_MSG(false, "instance source must be 'file' or 'gen', got '"
+                              << source << "'");
+  }
+  return decl;
+}
+
+// Appends `v` in decimal, as `operator<<` writes it.
+void append_int(std::string& out, std::int64_t v) {
+  char buf[24];
+  const auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), v);
+  out.append(buf, end);
+}
+
 }  // namespace
 
-void set_request_key(Request& req, const std::string& key,
-                     const std::string& value) {
+std::string_view Tokens::expect(const char* what) {
+  const std::string_view tok = next();
+  check_token(!tok.empty(), what);
+  return tok;
+}
+
+void set_request_key(Request& req, std::string_view key,
+                     std::string_view value) {
   if (key == "eps") {
     req.epsilon = parse_number(value, "eps");
     DASM_CHECK_MSG(req.epsilon > 0.0 && req.epsilon <= 1.0,
@@ -133,42 +190,30 @@ void check_request(const Request& req) {
 }
 
 Request parse_request(std::istream& is) {
-  Request req;
-  req.instance = next_token(is, "instance name");
-  req.algo = parse_algo(next_token(is, "algo"));
+  const std::string name = next_token(is, "instance name");
+  const std::string algo = next_token(is, "algo");
   std::string line;
   std::getline(is, line);
-  std::istringstream ls(line);
-  std::string key;
-  while (ls >> key) {
-    std::string value;
-    DASM_CHECK_MSG(static_cast<bool>(ls >> value),
-                   "request key '" << key << "' is missing its value");
-    set_request_key(req, key, value);
-  }
-  check_request(req);
-  return req;
+  Tokens tail(line);
+  return request_from(name, algo, tail);
+}
+
+Request parse_request(std::string_view body) {
+  Tokens tokens(body);
+  const std::string_view name = tokens.expect("instance name");
+  const std::string_view algo = tokens.expect("algo");
+  return request_from(name, algo, tokens);
 }
 
 RequestFile::InstanceDecl parse_instance_decl(std::istream& is) {
-  RequestFile::InstanceDecl decl;
-  decl.name = next_token(is, "instance name");
-  const std::string source = next_token(is, "'file' or 'gen'");
-  if (source == "file") {
-    decl.from_file = true;
-    decl.path = next_token(is, "instance path");
-  } else if (source == "gen") {
-    decl.family = next_token(is, "family");
-    decl.n = parse_int<NodeId>(next_token(is, "instance size"),
-                               "instance size");
-    DASM_CHECK_MSG(decl.n > 0, "instance size must be positive");
-    decl.seed = parse_int<std::uint64_t>(next_token(is, "instance seed"),
-                                         "instance seed");
-  } else {
-    DASM_CHECK_MSG(false, "instance source must be 'file' or 'gen', got '"
-                              << source << "'");
-  }
-  return decl;
+  return instance_decl_from(
+      [&](const char* what) { return next_token(is, what); });
+}
+
+RequestFile::InstanceDecl parse_instance_decl(std::string_view body) {
+  Tokens tokens(body);
+  return instance_decl_from(
+      [&](const char* what) { return tokens.expect(what); });
 }
 
 const char* to_string(Algo algo) {
@@ -197,20 +242,43 @@ std::uint64_t Request::params_digest() const {
   return h.digest();
 }
 
-void Response::write_line(std::ostream& os) const {
+void Response::append_line(std::string& out) const {
   if (!error.empty()) {
-    os << "ERR " << error << '\n';
+    out += "ERR ";
+    out += error;
+    out += '\n';
     return;
   }
-  os << "r " << id << " inst " << instance << " algo " << to_string(algo)
-     << " key " << to_hex(key) << " matched " << matched;
+  out += "r ";
+  append_int(out, id);
+  out += " inst ";
+  out += instance;
+  out += " algo ";
+  out += to_string(algo);
+  out += " key ";
+  append_hex(out, key);
+  out += " matched ";
+  append_int(out, matched);
   if (algo == Algo::kMm) {
-    os << " maximal " << maximal;
+    out += " maximal ";
+    append_int(out, maximal);
   } else {
-    os << " blocking " << blocking;
+    out += " blocking ";
+    append_int(out, blocking);
   }
-  os << " rounds " << rounds << " messages " << messages << " bits " << bits
-     << '\n';
+  out += " rounds ";
+  append_int(out, rounds);
+  out += " messages ";
+  append_int(out, messages);
+  out += " bits ";
+  append_int(out, bits);
+  out += '\n';
+}
+
+void Response::write_line(std::ostream& os) const {
+  std::string line;
+  append_line(line);
+  os << line;
 }
 
 RequestFile load_requests(std::istream& is) {

@@ -35,9 +35,11 @@
 // checks; it takes the request's place (and its id) in the log.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "congest/fault.hpp"
@@ -90,6 +92,11 @@ struct Response {
   std::string error;  ///< non-empty: the run failed a check (no other
                       ///< payload field is meaningful)
 
+  /// Appends the response line, '\n' included, to `out`: the one
+  /// serializer. The TCP front end writes it straight into a connection's
+  /// write buffer.
+  void append_line(std::string& out) const;
+  /// append_line into a stream (the response log of `dasm batch`).
   void write_line(std::ostream& os) const;
 
   friend bool operator==(const Response&, const Response&) = default;
@@ -113,20 +120,59 @@ struct RequestFile {
 RequestFile load_requests(std::istream& is);
 RequestFile load_requests_file(const std::string& path);
 
+/// The one tokenizer of the grammar: splits text at runs of the
+/// whitespace `operator>>` skips in the classic locale (space, \t, \n,
+/// \v, \f, \r), without copying. The string_view parsers below and the
+/// TCP front end's line dispatch read lines through it; the std::istream
+/// parsers split with `>>`, which cuts the same tokens.
+class Tokens {
+ public:
+  explicit Tokens(std::string_view text) : text_(text) {}
+
+  /// The next token; empty once the text is used up.
+  std::string_view next() {
+    while (pos_ < text_.size() && is_space(text_[pos_])) ++pos_;
+    const std::size_t begin = pos_;
+    while (pos_ < text_.size() && !is_space(text_[pos_])) ++pos_;
+    return text_.substr(begin, pos_ - begin);
+  }
+
+  /// The next token; throws CheckError "unexpected end of input, expected
+  /// <what>" once the text is used up.
+  std::string_view expect(const char* what);
+
+  /// The text after the last token taken.
+  std::string_view rest() const { return text_.substr(pos_); }
+
+ private:
+  static constexpr bool is_space(char c) {
+    return c == ' ' || (c >= '\t' && c <= '\r');
+  }
+
+  std::string_view text_;
+  std::size_t pos_ = 0;
+};
+
 /// Parses the body of a `request` line — everything after the `request`
 /// keyword (instance name, algo, key-value tail up to end-of-line):
 /// set_request_key for each pair, then check_request. Throws CheckError
 /// with a diagnostic on malformed input. Instance-name resolution is the
 /// caller's job: the file loader checks the declared set, the TCP front
 /// end (src/net/) the live InstanceStore.
+///
+/// The std::istream form reads the name and algo with `>>` and the tail
+/// up to the end of the current line (the request-file loader); the
+/// string_view form takes one line's body (the TCP front end). Both run
+/// the same grammar, so they accept the same lines with the same errors.
 Request parse_request(std::istream& is);
+Request parse_request(std::string_view body);
 
 /// Applies one key-value pair of a request line to `request`, with that
 /// key's own checks (eps in (0, 1], backend det|ii|rp, ...). `dasm run`
 /// feeds its flags of the same names through here, so the CLI and the
 /// wire accept the same values.
-void set_request_key(Request& request, const std::string& key,
-                     const std::string& value);
+void set_request_key(Request& request, std::string_view key,
+                     std::string_view value);
 
 /// The checks that need the whole request, run once every key is set:
 /// FaultPlan::validate(), the raw-loss rule above, and the bounds on what
@@ -135,8 +181,13 @@ void set_request_key(Request& request, const std::string& key,
 void check_request(const Request& request);
 
 /// Parses the body of an `instance` line — everything after the
-/// `instance` keyword. Duplicate-name policy is the caller's job.
+/// `instance` keyword. Duplicate-name policy is the caller's job. Both
+/// forms read the declaration's tokens and leave what follows them: the
+/// std::istream form with `>>` (the request-file loader), the string_view
+/// form from one line's body (the TCP front end, which ignores the rest
+/// of the line).
 RequestFile::InstanceDecl parse_instance_decl(std::istream& is);
+RequestFile::InstanceDecl parse_instance_decl(std::string_view body);
 
 /// Materializes a generated-instance declaration. Families: complete,
 /// incomplete (p = min(1, 16/n)), regular (d = min(n, 16)), bounded

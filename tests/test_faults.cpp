@@ -521,6 +521,32 @@ TEST(FaultRulesTest, RawLossIsRefusedBeforeRoundZero) {
   EXPECT_LE(run_maximal_matching(g, is_left, config).iterations_executed, 3);
 }
 
+// A crashed node's payloads die, so with reliable transport and no
+// iteration budget its live neighbours can wait on it forever. Such a run
+// stops at the safety cap (2n + 16 iterations) with a CheckError instead
+// of growing its per-iteration series until memory runs out. The plan is
+// test_fault_golden's crash plan for seed 1, without its budget.
+TEST(FaultRulesTest, UnbudgetedMmRunStopsAtTheSafetyCap) {
+  const auto [g, is_left] = testing::random_bipartite(9, 9, 0.35, 61);
+  for (const mm::Backend backend :
+       {mm::Backend::kIsraeliItai, mm::Backend::kRandomPriority}) {
+    mm::RunConfig config;
+    config.backend = backend;
+    config.fault_plan.seed = 7932;
+    config.fault_plan.drop = 0.1;
+    config.fault_plan.crashes = {CrashEvent{4, 1}, CrashEvent{11, 16}};
+    config.retransmit_after = 2;
+    try {
+      run_maximal_matching(g, is_left, config);
+      ADD_FAILURE() << mm::to_string(backend) << " returned";
+    } catch (const CheckError& e) {
+      EXPECT_EQ(e.message(),
+                "maximal matching failed to converge within the safety cap")
+          << mm::to_string(backend);
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Convergence: ASM with retransmission at 10% uniform loss still reaches a
 // (1 - eps)-stable matching — and in fact the fault-free matching exactly.

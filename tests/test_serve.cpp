@@ -2,7 +2,8 @@
 // read() segmentation, the per-connection ordering/demux contract (each
 // connection receives exactly its own responses, in its own submission
 // order, byte-identical to a `dasm batch` run on its request stream),
-// admission-control shedding surfaced as "ERR shed", malformed-input
+// admission-control shedding surfaced as "ERR shed", one write flush per
+// connection per poll cycle and the write-buffer limits, malformed-input
 // resilience, idle timeouts, graceful drain, the GET /metrics scrape
 // endpoint, and a fault-injection mini-soak (ServeSoak.*, CTest label
 // `soak`). Runs in the default, asan, and tsan presets.
@@ -11,10 +12,12 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <sys/ioctl.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <cctype>
+#include <cerrno>
 #include <chrono>
 #include <cstdint>
 #include <functional>
@@ -22,6 +25,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -514,6 +518,122 @@ TEST(ServeConformance, DrainedConnectionsCountAsClosed) {
   const obs::MetricsSnapshot snap = ts.metrics.snapshot();
   EXPECT_EQ(snap.counter("net.accepted"), 1);
   EXPECT_EQ(snap.counter("net.closed"), snap.counter("net.accepted"));
+}
+
+// ---------------------------------------------------------------------------
+// Writes: one flush per connection per poll cycle, and the buffer limits
+
+std::int64_t histogram_count(const obs::MetricsSnapshot& snap,
+                             std::string_view name) {
+  for (const obs::HistogramSnapshot& h : snap.histograms) {
+    if (h.name == name) return h.count;
+  }
+  return 0;
+}
+
+TEST(ServeWrites, PipelinedAnswersLeaveInOneFlushPerBatch) {
+  TestServer ts;
+  ts.start();
+  Client client(ts.port());
+  client.send_all(
+      "dasm-requests 1\ninstance g gen complete 16 1\nrequest g asm eps 0.5\n");
+  ASSERT_EQ(client.must_read_line(), "dasm-responses 1");
+  ASSERT_EQ(client.must_read_line().rfind("r 0 ", 0), 0u);
+
+  // 64 cached requests in one send: each answer is appended to the
+  // connection's buffer, and the buffer leaves in the cycle's one flush.
+  constexpr int kBurst = 64;
+  std::string burst;
+  for (int i = 0; i < kBurst; ++i) burst += "request g asm eps 0.5\n";
+  client.send_all(burst);
+  for (int i = 1; i <= kBurst; ++i) {
+    ASSERT_EQ(client.must_read_line().rfind("r " + std::to_string(i) + " ", 0),
+              0u);
+  }
+  ts.stop();
+
+  // Each flush is one call of the send loop (one time.net.write_us
+  // observation). Only the greeting and the batches wrote anything, so
+  // there is at most one flush per batch plus the greeting's, where
+  // flushing each answer would make one per answer.
+  const obs::MetricsSnapshot snap = ts.metrics.snapshot();
+  EXPECT_EQ(snap.counter("net.responses"), 1 + kBurst);
+  const std::int64_t batches = histogram_count(snap, "time.net.batch_us");
+  EXPECT_GE(batches, 2);
+  EXPECT_LE(histogram_count(snap, "time.net.write_us"), batches + 1);
+}
+
+TEST(ServeWrites, ANonReadingConsumerIsCutOffWhileOthersAreServed) {
+  TestServer ts;
+  ts.config.write_high_water = 4096;
+  ts.config.write_buffer_limit = 16384;
+  ts.config.metrics = &ts.metrics;
+  ts.server = std::make_unique<Server>(ts.config);  // listening, not polling
+
+  // Both clients connect and send before the loop starts, so the server
+  // reads each one's bytes whole in its first read.
+  Client other(ts.port());
+  other.send_all(
+      "dasm-requests 1\ninstance g gen complete 12 1\nrequest g asm eps 0.5\n");
+
+  // The slow consumer sends and never reads. Every 2-byte line is
+  // answered with a 46-byte ERR line. A small receive buffer and segment
+  // size keep what the kernel holds for it near 50 kB (a few MB on
+  // loopback otherwise), so its answers outgrow that and then the
+  // server's write_buffer_limit within the lines of that one read.
+  const int slow = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(slow, 0);
+  const int rcvbuf = 4096;
+  const int mss = 536;
+  ::setsockopt(slow, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf));
+  ::setsockopt(slow, IPPROTO_TCP, TCP_MAXSEG, &mss, sizeof(mss));
+  timeval tv{};
+  tv.tv_sec = 10;
+  ::setsockopt(slow, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<std::uint16_t>(ts.port()));
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  ASSERT_EQ(
+      ::connect(slow, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  constexpr std::size_t kLines = 8192;
+  std::string flood = "dasm-requests 1\n";
+  for (std::size_t i = 0; i < kLines; ++i) flood += "x\n";
+  ASSERT_EQ(::send(slow, flood.data(), flood.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(flood.size()));
+  // Every byte acknowledged: all of it waits in the server's socket.
+  ASSERT_TRUE(wait_until([&] {
+    int unacked = 0;
+    return ::ioctl(slow, TIOCOUTQ, &unacked) == 0 && unacked == 0;
+  }));
+
+  ts.thread = std::thread([&] { ts.server->run(); });
+  // The other connection is answered while the flood is handled...
+  ASSERT_EQ(other.must_read_line(), "dasm-responses 1");
+  EXPECT_EQ(other.must_read_line().rfind("r 0 ", 0), 0u);
+  // ...the slow one is dropped (a scrape counts the other connection and
+  // itself)...
+  EXPECT_TRUE(wait_until([&] {
+    return scrape(ts.port()).values["dasm_net_connections"] == 2.0;
+  }));
+  // ...and the other connection is still answered after it.
+  other.send_all("request g asm eps 0.5 seed 2\n");
+  EXPECT_EQ(other.must_read_line().rfind("r 1 ", 0), 0u);
+
+  // The slow consumer reads the part of its answers that left before the
+  // cut-off, then the end of the stream, not a timeout.
+  std::size_t received = 0;
+  char buf[65536];
+  ssize_t n = 0;
+  while ((n = ::recv(slow, buf, sizeof(buf), 0)) > 0) {
+    received += static_cast<std::size_t>(n);
+  }
+  EXPECT_TRUE(n == 0 || errno != EAGAIN) << "no cut-off within the timeout";
+  EXPECT_LT(received, kLines * std::string_view(
+                                   "ERR expected 'request' or 'instance', "
+                                   "got 'x'\n")
+                                   .size());
+  ::close(slow);
 }
 
 // ---------------------------------------------------------------------------

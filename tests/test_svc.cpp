@@ -259,6 +259,140 @@ TEST(SvcRequestFile, RejectsMalformedInput) {
             "request a mm backend ii drop 0.5 iters 256\n"));
 }
 
+// The TCP front end parses each line through the string_view forms, the
+// request-file loader (and servebench's replay oracle) through the
+// std::istream forms. Both must accept the same lines, with the same
+// values, and refuse the same lines with the same message.
+TEST(SvcRequestFile, StringViewAndStreamFormsParseAlike) {
+  const char* const requests[] = {
+      "g asm",
+      "g asm eps 0.5 seed 2 backend ii max-rounds 50",
+      "g mm backend rp seed 4 iters 6",
+      "g rand-asm drop 0.25 fault-seed 7 retransmit-after 2 max-retransmits 9",
+      "  g\tasm \v eps\f0.3 \r seed   5  ",  // the whole `>>` whitespace set
+      "g mm backend ii drop 0.1 iters 3",
+      "",
+      "g",
+      "g bogus",
+      "g asm eps",
+      "g asm eps banana",
+      "g asm eps +0.5",
+      "g asm eps 2",
+      "g asm wibble 3",
+      "g asm seed -1",
+      "g asm drop 0.1",
+      "g mm backend ii drop 0.1",
+      "g asm retransmit-after 4294967298",
+      "g asm drop 0.51 retransmit-after 1",
+      "g mm iters 257",
+      "g asm eps\xa0" "0.5",  // bytes >= 0x80 are not whitespace
+  };
+  for (const char* body : requests) {
+    std::istringstream is(body);
+    std::string want_error, got_error;
+    Request want, got;
+    try {
+      want = parse_request(is);
+    } catch (const CheckError& e) {
+      want_error = e.message();
+    }
+    try {
+      got = parse_request(std::string_view(body));
+    } catch (const CheckError& e) {
+      got_error = e.message();
+    }
+    EXPECT_EQ(got_error, want_error) << body;
+    EXPECT_EQ(got.instance, want.instance) << body;
+    EXPECT_EQ(got.algo, want.algo) << body;
+    EXPECT_EQ(got.params_digest(), want.params_digest()) << body;
+  }
+
+  const char* const decls[] = {
+      "g gen complete 16 3",
+      "f file some/path.txt",
+      "\tg  gen\vregular 20 5 trailing tokens",
+      "",
+      "g",
+      "g gen",
+      "g gen complete",
+      "g gen complete 0 1",
+      "g gen complete 4294967301 1",
+      "g gen complete 8 x",
+      "g blob x",
+  };
+  for (const char* body : decls) {
+    std::istringstream is(body);
+    std::string want_error, got_error;
+    RequestFile::InstanceDecl want, got;
+    try {
+      want = parse_instance_decl(is);
+    } catch (const CheckError& e) {
+      want_error = e.message();
+    }
+    try {
+      got = parse_instance_decl(std::string_view(body));
+    } catch (const CheckError& e) {
+      got_error = e.message();
+    }
+    EXPECT_EQ(got_error, want_error) << body;
+    EXPECT_EQ(got.name, want.name) << body;
+    EXPECT_EQ(got.from_file, want.from_file) << body;
+    EXPECT_EQ(got.path, want.path) << body;
+    EXPECT_EQ(got.family, want.family) << body;
+    EXPECT_EQ(got.n, want.n) << body;
+    EXPECT_EQ(got.seed, want.seed) << body;
+  }
+}
+
+TEST(SvcRequestFile, TokensSplitAtTheStreamWhitespace) {
+  Tokens tokens(" a\tbb\n\vccc\f\rd \xa0" "e ");
+  EXPECT_EQ(tokens.next(), "a");
+  EXPECT_EQ(tokens.next(), "bb");
+  EXPECT_EQ(tokens.rest(), "\n\vccc\f\rd \xa0" "e ");
+  EXPECT_EQ(tokens.next(), "ccc");
+  EXPECT_EQ(tokens.next(), "d");
+  EXPECT_EQ(tokens.next(), "\xa0" "e");
+  EXPECT_EQ(tokens.next(), "");
+  EXPECT_EQ(tokens.next(), "");
+  try {
+    tokens.expect("algo");
+    ADD_FAILURE() << "expect past the end returned";
+  } catch (const CheckError& e) {
+    EXPECT_EQ(e.message(), "unexpected end of input, expected algo");
+  }
+}
+
+TEST(SvcResponse, AppendLineWritesTheLogLine) {
+  Response r;
+  r.id = 12;
+  r.instance = "g0";
+  r.algo = Algo::kAsm;
+  r.key = CacheKey{1, 2};
+  r.matched = 64;
+  r.blocking = 3;
+  r.rounds = 118;
+  r.messages = 40210;
+  r.bits = 643360;
+  std::string line = "prefix ";
+  r.append_line(line);
+  EXPECT_EQ(line,
+            "prefix r 12 inst g0 algo asm key 6d1db36ccba982d2 matched 64 "
+            "blocking 3 rounds 118 messages 40210 bits 643360\n");
+  r.algo = Algo::kMm;
+  r.maximal = 1;
+  r.id = -1;
+  std::ostringstream os;
+  r.write_line(os);
+  EXPECT_EQ(os.str(),
+            "r -1 inst g0 algo mm key 6d1db36ccba982d2 matched 64 maximal 1 "
+            "rounds 118 messages 40210 bits 643360\n");
+  r.error = "maximal matching failed to converge within the safety cap";
+  line.clear();
+  r.append_line(line);
+  EXPECT_EQ(line,
+            "ERR maximal matching failed to converge within the safety cap\n");
+}
+
 TEST(SvcRequestFile, OversizedDeclarationsAreRefusedBeforeGenerating) {
   const auto declared = [](const char* line) {
     std::istringstream is(line);

@@ -16,14 +16,24 @@ Drives a live server through the whole front-end contract once:
      two requests that parse but whose runs fail a check (eps too small
      for the schedule; a payload dead at the retransmit cap), each
      followed by a valid request, and checks each failure is answered
-     ERR in its place and the request after it is still served.
+     ERR in its place and the request after it is still served;
+  4. sends tests/golden/batch_requests.txt on a fresh connection in one
+     sendall, half-closes, and checks the stream up to the server's close
+     equals tests/golden/batch_responses.txt byte for byte: the golden
+     declares no file instances, so the wire must serve exactly the bytes
+     `dasm batch` writes. Its instance names differ from the smoke_*
+     names of the steps before, so one server serves all four.
 
 Usage: serve_smoke.py (--port N | --port-file PATH)
 Exits nonzero on the first violated expectation.
 """
 import argparse
+import os
 import socket
 import sys
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                      "tests", "golden")
 
 
 def fail(msg):
@@ -108,6 +118,33 @@ def drive_requests(port, instance, count, seed0):
     sock.close()
 
 
+def golden_over_the_wire(port):
+    """The golden request file in one sendall; the answer stream must be
+    the golden response file, and nothing more."""
+    with open(os.path.join(GOLDEN, "batch_requests.txt"), "rb") as f:
+        requests = f.read()
+    with open(os.path.join(GOLDEN, "batch_responses.txt"), "rb") as f:
+        expected = f.read()
+    sock = connect(port)
+    sock.sendall(requests)
+    sock.shutdown(socket.SHUT_WR)
+    got = b""
+    while True:
+        chunk = sock.recv(65536)
+        if not chunk:
+            break
+        got += chunk
+    sock.close()
+    if got != expected:
+        at = next((i for i, (a, b) in enumerate(zip(got, expected)) if a != b),
+                  min(len(got), len(expected)))
+        line = expected[:at].count(b"\n") + 1
+        fail("golden stream differs from batch_responses.txt at byte %d "
+             "(line %d); got %d bytes, want %d"
+             % (at, line, len(got), len(expected)))
+    return expected.count(b"\n") - 1
+
+
 def main():
     parser = argparse.ArgumentParser()
     group = parser.add_mutually_exclusive_group(required=True)
@@ -173,7 +210,10 @@ def main():
             fail("valid request after the %s not served" % what)
     sock.close()
 
-    print("serve_smoke: OK (7 requests, 2 scrapes, 4 ERR recoveries)")
+    golden = golden_over_the_wire(port)
+
+    print("serve_smoke: OK (7 requests, 2 scrapes, 4 ERR recoveries, "
+          "%d golden answers byte-identical)" % golden)
 
 
 if __name__ == "__main__":

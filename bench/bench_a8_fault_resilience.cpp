@@ -17,17 +17,26 @@
 // 64 rounds of a reliable network under 5% loss perform no heap
 // allocation (A6's check of the fault-free arenas, extended to the payload
 // window and the wire ring), counted by a replaced global operator new.
+// A fourth gates whole runs on the thread's warm run context (DESIGN.md
+// §13): after one warm-up run, a run of each of the serve benchmark's
+// cold request kinds allocates at most 16 blocks, whatever n or the round
+// count is: the returned result's own vectors.
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <functional>
 #include <iostream>
 #include <new>
+#include <string>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "congest/fault.hpp"
 #include "congest/network.hpp"
 #include "core/engine.hpp"
+#include "core/rand_asm.hpp"
+#include "mm/runner.hpp"
 #include "par/sweep.hpp"
 #include "stable/blocking.hpp"
 #include "util/table.hpp"
@@ -68,6 +77,20 @@ std::int64_t saturate_round(Network& net, const Graph& g, int round) {
     for (const Envelope& e : net.inbox(v)) checksum += e.msg.a + e.from;
   }
   return checksum;
+}
+
+// Heap allocations of one warm run: `run` once to warm the thread's run
+// context, then the most any of three further runs makes.
+long long warm_run_allocations(const std::function<void()>& run) {
+  run();
+  long long most = 0;
+  for (int i = 0; i < 3; ++i) {
+    const long long before = g_heap_allocs.load(std::memory_order_relaxed);
+    run();
+    most = std::max(most,
+                    g_heap_allocs.load(std::memory_order_relaxed) - before);
+  }
+  return most;
 }
 
 struct CellResult {
@@ -203,6 +226,51 @@ int main(int argc, char** argv) {
             << checksum << ")\n\n";
   const bool zero_alloc = allocs == 0;
 
+  // Whole warm runs of the serve benchmark's cold request kinds
+  // (servebench/corpus.txt's k96, i768 and k64), fault-free and lossy.
+  const Instance k96 = bench::make_family("complete", 96, 3);
+  const Instance i768 = bench::make_family("incomplete", 768, 4);
+  const Instance k64 = bench::make_family("complete", 64, 2);
+  core::AsmParams asm_params;
+  asm_params.epsilon = 0.25;
+  asm_params.seed = 5;
+  core::RandAsmParams rand_params;
+  rand_params.epsilon = 0.25;
+  rand_params.seed = 5;
+  mm::RunConfig mm_config;
+  mm_config.backend = mm::Backend::kIsraeliItai;
+  mm_config.seed = 5;
+  const Graph& k96_graph = k96.graph().graph();
+  std::vector<bool> k96_left(static_cast<std::size_t>(k96_graph.node_count()));
+  for (NodeId m = 0; m < k96.n_men(); ++m) {
+    k96_left[static_cast<std::size_t>(m)] = true;
+  }
+  core::AsmParams lossy_params = asm_params;
+  lossy_params.fault_plan.drop = 0.05;
+  lossy_params.retransmit_after = 2;
+  struct WarmRow {
+    std::string name;
+    std::function<void()> run;
+  };
+  const std::vector<WarmRow> warm_rows = {
+      {"run_asm k96", [&] { core::run_asm(k96, asm_params); }},
+      {"run_rand_asm i768", [&] { core::run_rand_asm(i768, rand_params); }},
+      {"run_maximal_matching ii k96",
+       [&] { mm::run_maximal_matching(k96_graph, k96_left, mm_config); }},
+      {"run_asm k64 drop 0.05 retransmit-after 2",
+       [&] { core::run_asm(k64, lossy_params); }},
+  };
+  constexpr long long kWarmRunBudget = 16;
+  Table warm_table({"warm run", "heap allocations"});
+  bool warm_within_budget = true;
+  for (const WarmRow& row : warm_rows) {
+    const long long n_allocs = warm_run_allocations(row.run);
+    warm_table.add_row({row.name, std::to_string(n_allocs)});
+    warm_within_budget = warm_within_budget && n_allocs <= kWarmRunBudget;
+  }
+  warm_table.print(std::cout);
+  std::cout << "\n";
+
   bench::print_verdict(all_stable,
                        "every cell is (1-eps)-stable despite message loss");
   bench::print_verdict(all_same,
@@ -211,5 +279,9 @@ int main(int argc, char** argv) {
   bench::print_verdict(zero_alloc,
                        "steady-state reliable rounds under loss allocate "
                        "nothing");
-  return (all_stable && all_same && zero_alloc) ? 0 : 1;
+  bench::print_verdict(warm_within_budget,
+                       "a warm run allocates at most 16 blocks, only its "
+                       "result");
+  return (all_stable && all_same && zero_alloc && warm_within_budget) ? 0
+                                                                     : 1;
 }

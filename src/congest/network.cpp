@@ -62,22 +62,82 @@ int default_bit_budget(std::size_t n) {
 
 }  // namespace
 
-Network::Network(const Graph& graph, int message_bit_budget)
-    : graph_(&graph), slot_offset_(graph.offsets().data()) {
+Network::Network(const Graph& graph, int message_bit_budget) {
+  rebind(graph, message_bit_budget);
+}
+
+void Network::rebind(const Graph& graph, int message_bit_budget) {
+  graph_ = &graph;
+  slot_offset_ = graph.offsets().data();
   const auto n = static_cast<std::size_t>(graph.node_count());
   bit_budget_ = message_bit_budget > 0 ? message_bit_budget
                                        : default_bit_budget(n);
-  // Size the delivery arenas once: node v receives at most one message per
-  // in-edge per round, so its inbox fits in its deg(v) adjacency slots
-  // forever.
+  // Node v receives at most one message per in-edge per round, so its
+  // inbox fits in its deg(v) adjacency slots forever. The arenas only
+  // grow: a graph no larger than the largest so far reuses them.
+  const auto slots = static_cast<std::size_t>(slot_offset_[n]);
+  if (slots > slot_capacity_) {
+    for (Arena& a : arenas_) a.slots = raw_array<Envelope>(slots);
+    slot_capacity_ = slots;
+  }
   for (Arena& a : arenas_) {
-    a.slots = raw_array<Envelope>(static_cast<std::size_t>(slot_offset_[n]));
     a.fill.assign(n, 0);
+    a.dirty.clear();
     a.dirty.reserve(n);
   }
-  // Build the neighbour probe tables (load factor <= 1/2).
-  port_offset_.resize(n + 1, 0);
-  port_mask_.resize(n, 0);
+  delivered_ = 0;
+  raw_inboxes_ = false;
+  round_open_ = false;
+  build_port_table();
+
+  stats_ = NetStats{};
+  round_hook_ = nullptr;
+  m_end_round_us_ = {};
+  m_round_messages_ = {};
+  round_start_messages_ = 0;
+  trace_cap_ = 0;
+  trace_start_ = 0;
+  trace_size_ = 0;
+  trace_dropped_ = 0;
+
+  // The fault layer, back to the fast path with nothing in flight.
+  fault_mode_ = false;
+  plan_ = FaultPlan{};
+  drop_threshold_ = 0;
+  dup_threshold_ = 0;
+  delay_threshold_ = 0;
+  edge_drop_override_.clear();
+  keys_round_ = -1;
+  crash_round_.clear();
+  for (auto& slot : ring_) slot.clear();
+  for (const NodeId v : f_staging_dirty_) {
+    f_staging_[static_cast<std::size_t>(v)].clear();
+  }
+  f_staging_dirty_.clear();
+  for (const NodeId v : f_front_dirty_) {
+    f_front_[static_cast<std::size_t>(v)].clear();
+  }
+  f_front_dirty_.clear();
+  holed_rows_.clear();
+  std::fill(open_bits_.begin(), open_bits_.end(), 0);
+  window_base_ = 0;
+  open_payloads_ = 0;
+  next_payload_id_ = 0;
+  commit_ordinal_ = 0;
+  copy_counter_ = 0;
+  pending_copies_ = 0;
+  unresolved_payloads_ = 0;
+  retransmit_after_ = 0;
+  max_retransmits_ = 64;
+}
+
+void Network::build_port_table() {
+  // Per-node neighbour probe tables (load factor <= 1/2), kept while the
+  // network is rebound to the graph they were built for.
+  if (port_graph_serial_ == graph_->serial()) return;
+  const auto n = static_cast<std::size_t>(node_count());
+  port_offset_.assign(n + 1, 0);
+  port_mask_.assign(n, 0);
   for (std::size_t v = 0; v < n; ++v) {
     const auto degree =
         static_cast<std::size_t>(slot_offset_[v + 1] - slot_offset_[v]);
@@ -87,17 +147,23 @@ Network::Network(const Graph& graph, int message_bit_budget)
     port_offset_[v + 1] = port_offset_[v] + cap;
   }
   port_key_.assign(port_offset_[n], kNoNode);
-  sent_stamp_.assign(port_offset_[n], -1);
+  // Stamps left by earlier rounds, of this graph or another, are older
+  // than any round to come, so the stamps only grow.
+  if (sent_stamp_.size() < port_offset_[n]) {
+    sent_stamp_.resize(port_offset_[n], -1);
+  }
+  const NodeId* adjacency = graph_->adjacency().data();
   for (std::size_t v = 0; v < n; ++v) {
-    for (const NodeId u : graph.neighbors(static_cast<NodeId>(v))) {
-      std::uint32_t slot =
-          (static_cast<std::uint32_t>(u) * 2654435761u) & port_mask_[v];
-      while (port_key_[port_offset_[v] + slot] != kNoNode) {
-        slot = (slot + 1) & port_mask_[v];
-      }
-      port_key_[port_offset_[v] + slot] = u;
+    NodeId* keys = port_key_.data() + port_offset_[v];
+    const std::uint32_t mask = port_mask_[v];
+    for (std::int64_t e = slot_offset_[v]; e < slot_offset_[v + 1]; ++e) {
+      const NodeId u = adjacency[e];
+      std::uint32_t slot = (static_cast<std::uint32_t>(u) * 2654435761u) & mask;
+      while (keys[slot] != kNoNode) slot = (slot + 1) & mask;
+      keys[slot] = u;
     }
   }
+  port_graph_serial_ = graph_->serial();
 }
 
 std::size_t Network::edge_slot(NodeId from, NodeId to) const {
@@ -197,10 +263,10 @@ void Network::end_round_impl() {
     // this round to be delivered or permanently dead — loss costs rounds,
     // not correctness. Each wire round ticks executed/scheduled rounds and
     // fires the obs hook, so traces and stats see the real wire activity.
-    if (retransmit_after_ == 0 && f_staging_.empty()) {
+    const auto n = static_cast<std::size_t>(node_count());
+    if (retransmit_after_ == 0 && f_staging_.size() < n) {
       // Raw loss stages arrivals per receiver; sized on first use, so a
       // reliable run never allocates them.
-      const auto n = static_cast<std::size_t>(node_count());
       f_staging_.resize(n);
       f_front_.resize(n);
     }
@@ -316,7 +382,14 @@ void Network::refresh_fault_mode() {
   const std::size_t due_copies =
       std::min<std::size_t>(edges + edges / 2, 1 << 15);
   for (auto& slot : ring_) slot.reserve(due_copies);
-  if (retransmit_after_ > 0 && window_ == nullptr) grow_window();
+  // The first window spans four rounds of sends on every edge (capped at
+  // 2^16 ids): a round opens at most one payload per directed edge, and
+  // under 5% loss a saturated network's window stays within that.
+  const std::size_t first_window =
+      std::bit_ceil(std::clamp<std::size_t>(4 * edges, 64, 1 << 16));
+  if (retransmit_after_ > 0 && window_mask_ + 1 < first_window) {
+    grow_window(first_window);
+  }
 }
 
 bool Network::node_crashed(NodeId v, std::int64_t wire_round) const {
@@ -612,7 +685,9 @@ std::int64_t Network::open_payload(const Payload& p) {
   const auto capacity = static_cast<std::int64_t>(window_mask_ + 1);
   if (next_payload_id_ - window_base_ == capacity) {
     trim_window();
-    if (next_payload_id_ - window_base_ == capacity) grow_window();
+    if (next_payload_id_ - window_base_ == capacity) {
+      grow_window(2 * (window_mask_ + 1));
+    }
   }
   const std::int64_t id = next_payload_id_++;
   const auto i = static_cast<std::size_t>(id) & window_mask_;
@@ -645,17 +720,9 @@ void Network::trim_window() {
   window_base_ = next_payload_id_;
 }
 
-void Network::grow_window() {
-  // The first window spans four rounds of sends on every edge (capped at
-  // 2^16 ids): a round opens at most one payload per directed edge, and
-  // under 5% loss a saturated network's window stays within that. Later
-  // windows double. Open payloads keep their ids and move to their slots
-  // under the wider mask.
-  const auto edges = static_cast<std::size_t>(slot_offset_[node_count()]);
-  const std::size_t capacity =
-      window_ == nullptr
-          ? std::bit_ceil(std::clamp<std::size_t>(4 * edges, 64, 1 << 16))
-          : 2 * (window_mask_ + 1);
+void Network::grow_window(std::size_t capacity) {
+  // Open payloads keep their ids and move to their slots under the wider
+  // mask.
   RawArray<Payload> window = raw_array<Payload>(capacity);
   std::vector<std::uint64_t> bits(capacity / 64, 0);
   for (std::int64_t id = window_base_; id < next_payload_id_; ++id) {
@@ -703,9 +770,10 @@ void Network::charge_scheduled_rounds(std::int64_t rounds) {
 }
 
 void Network::enable_trace(std::size_t max_events) {
+  // Ring slots are written before they are read, so growing the ring is
+  // the only work; a smaller cap keeps the storage.
+  if (trace_ring_.size() < max_events) trace_ring_.resize(max_events);
   trace_cap_ = max_events;
-  trace_ring_.assign(max_events, TraceEvent{});
-  trace_ring_.shrink_to_fit();
   trace_start_ = 0;
   trace_size_ = 0;
   trace_dropped_ = 0;

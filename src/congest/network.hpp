@@ -20,21 +20,30 @@
 // The network borrows its communication graph: it is built on a `Graph`
 // (whose constructor already rejects self-loops, duplicate edges and
 // out-of-range endpoints, and which is symmetric by construction) and
-// reads neighbour lists from it, so the Graph must outlive the Network.
+// reads neighbour lists from it, so the Graph must outlive the Network's
+// use of it.
 //
 // Delivery is zero-allocation in steady state: because the model admits at
 // most one message per directed edge per round, every node's inbox fits in
 // a slot range of size deg(v). Messages live in two flat CSR-style arenas
 // (one contiguous Envelope buffer per direction of the double buffer, plus
-// a shared per-node offset table) that are sized once in the constructor;
-// end_round() flips the buffers by index and resets only the slots that
-// were actually used. inbox(v) hands out a view into the current arena,
-// and receivers() lists the nodes whose inbox the last end_round() filled,
-// so a caller can step only the nodes that have something to read. The
-// reliability sublayer (set_reliable_transport) keeps inboxes in the same
-// arenas and reuses its payload window and wire ring from round to round,
-// so its steady-state rounds allocate nothing either; only raw loss
-// stages inboxes in growable per-node vectors (DESIGN.md §8).
+// a shared per-node offset table); end_round() flips the buffers by index
+// and resets only the slots that were actually used. inbox(v) hands out a
+// view into the current arena, and receivers() lists the nodes whose inbox
+// the last end_round() filled, so a caller can step only the nodes that
+// have something to read. The reliability sublayer
+// (set_reliable_transport) keeps inboxes in the same arenas and reuses its
+// payload window and wire ring from round to round, so its steady-state
+// rounds allocate nothing either; only raw loss stages inboxes in growable
+// per-node vectors (DESIGN.md §8).
+//
+// One network serves many runs (DESIGN.md §13): rebind() points it at a
+// graph and clears everything a run leaves behind, keeping the capacity
+// of every buffer, so a warm network starts a run without allocating. The
+// constructor is a rebind() onto empty buffers. The arenas grow to the
+// largest graph the network has been bound to. The hashed port table is
+// rebuilt only when the graph's serial (graph/graph.hpp) differs from the
+// one it was built for.
 #pragma once
 
 #include <array>
@@ -135,6 +144,17 @@ class Network {
   explicit Network(const Graph& graph, int message_bit_budget = 0);
   Network(Graph&&, int = 0) = delete;
 
+  /// Points the network at `graph`, as the constructor does, and clears
+  /// everything one run can leave for the next: statistics, round hook,
+  /// metrics handles, trace ring, fault plan, the reliability sublayer's
+  /// window and ring, and open payloads or an open round, also after a run
+  /// that threw mid-round. Every buffer keeps its capacity, so rebinding
+  /// a network that already served a graph this large allocates nothing;
+  /// the port table is rebuilt only when `graph` is not the one it was
+  /// built for.
+  void rebind(const Graph& graph, int message_bit_budget = 0);
+  void rebind(Graph&&, int = 0) = delete;
+
   NodeId node_count() const { return graph_->node_count(); }
   std::span<const NodeId> neighbors(NodeId v) const {
     return graph_->neighbors(v);
@@ -233,7 +253,8 @@ class Network {
   /// Starts recording every transmission into a fixed-capacity ring of
   /// `max_events` events (once full, each new event overwrites the oldest
   /// in O(1), and dropped_trace_events() reports how many were lost).
-  /// Pass 0 to stop tracing; a nonzero cap starts a fresh recording.
+  /// Pass 0 to stop tracing; a nonzero cap starts a fresh recording. The
+  /// ring keeps its storage across calls and rebinds.
   void enable_trace(std::size_t max_events);
 
   /// The retained trace, oldest first (a linearized copy of the ring).
@@ -293,21 +314,27 @@ class Network {
     Envelope env;
   };
 
-  const Graph* graph_;  // borrowed; sorted neighbour lists
+  const Graph* graph_ = nullptr;  // borrowed; sorted neighbour lists
   // The Graph's CSR offsets, borrowed with it: v's inbox is slots
   // [slot_offset_[v], slot_offset_[v + 1]) of each arena.
-  const std::int64_t* slot_offset_;
+  const std::int64_t* slot_offset_ = nullptr;
   std::array<Arena, 2> arenas_;
+  std::size_t slot_capacity_ = 0;  // slots allocated in each arena
   int delivered_ = 0;  // arenas_[delivered_] is readable; the other fills
   // Per-node open-addressing set of neighbours, flattened into shared
   // arrays (power-of-two region per node, linear probing): O(1) edge
-  // lookup on the send path instead of a binary search. The directed-edge
-  // send guard lives in the same layout — sent_stamp_ is indexed by probe
-  // slot and holds the id of the round that last used the edge.
+  // lookup on the send path instead of a binary search. A rebind rebuilds
+  // the table only for a graph whose serial (Graph::serial()) differs
+  // from the one it was built for. The directed-edge send guard lives in
+  // the same layout — sent_stamp_ is indexed by probe slot and holds the
+  // id of the round that last used the edge. Round ids never restart, not
+  // even across rebinds, so no stamp left by an earlier run can match the
+  // open round's, and the stamps are never cleared, only grown.
   std::vector<NodeId> port_key_;         // neighbour id, kNoNode = empty
   std::vector<std::size_t> port_offset_; // region start per node
   std::vector<std::uint32_t> port_mask_; // region size - 1 per node
-  std::vector<std::int64_t> sent_stamp_; // parallel to port_key_
+  std::vector<std::int64_t> sent_stamp_; // by probe slot, >= port_key_
+  std::uint64_t port_graph_serial_ = 0;  // 0 = no table built yet
   std::int64_t round_serial_ = 0;
   bool round_open_ = false;
   int bit_budget_ = 0;
@@ -364,10 +391,11 @@ class Network {
   // [window_base_, next_payload_id_). Payload id lives at
   // window_[id & window_mask_], and that bit of open_bits_ is set iff id
   // is open, so the retransmit scan visits open ids in id order a 64-bit
-  // word at a time. The capacity, a power of two, is sized once from the
-  // edge count (slots are written before they are read, so untouched ones
-  // cost no memory) and doubles only when an unacked payload pins a
-  // window longer than that.
+  // word at a time. The capacity, a power of two, starts at a size set by
+  // the edge count (slots are written before they are read, so untouched
+  // ones cost no memory) and doubles only when an unacked payload pins a
+  // window longer than that. A rebind keeps the capacity; which capacity
+  // holds an id changes no send, inbox or statistic.
   RawArray<Payload> window_;
   std::size_t window_mask_ = 0;  // capacity - 1; 0 until reliable
   std::vector<std::uint64_t> open_bits_;
@@ -415,7 +443,11 @@ class Network {
   // slot is in the filling arena.
   void retire_undelivered(const Payload& p);
   void trim_window();
-  void grow_window();
+  // Moves the open payloads into a window of `capacity` ids (a power of
+  // two above the current one).
+  void grow_window(std::size_t capacity);
+  // Builds the bound graph's port table unless it was the last one built.
+  void build_port_table();
 };
 
 }  // namespace dasm

@@ -8,37 +8,51 @@
 
 namespace dasm::core {
 
+AsmEngine::Context& AsmEngine::thread_context() {
+  thread_local Context context;
+  return context;
+}
+
 AsmEngine::AsmEngine(const Instance& inst, const AsmParams& params)
-    : inst_(&inst),
+    : ctx_(thread_context()),
+      inst_(&inst),
       params_(params),
       sched_(resolve_schedule(params, inst.n_men(), inst.n_women())),
-      net_(inst.graph().graph()),
+      net_(lease_->net),
+      proposers_(ctx_.proposers),
+      receivers_(ctx_.receivers),
+      g0_men_(ctx_.g0_men),
+      g0_women_(ctx_.g0_women),
+      mm_live_(lease_->live),
       rec_(params.obs_sink) {
   const auto& bg = inst.graph();
+  net_.rebind(bg.graph());
   // kColorClass's global bounds: G0's quantized degree bound, and the
   // node count resolve_schedule sized its class pass by.
   const NodeId degree_bound = g0_degree_bound(inst, sched_.k);
-  auto make_mm = [&](NodeId node_id) {
-    return mm::make_node(params.mm_backend, params.seed, node_id,
-                         degree_bound, bg.node_count());
-  };
+  mm::NodePool& nodes = lease_->nodes;
+  nodes.prepare(params.mm_backend, params.seed, bg.node_count(), degree_bound,
+                bg.node_count());
   auto player_k = [&](const PreferenceList& pref) {
     // §3.2: k = deg(v) degenerates every quantile to a single partner.
     return params.per_player_quantiles ? std::max<NodeId>(pref.degree(), 1)
                                        : sched_.k;
   };
-  men_.reserve(static_cast<std::size_t>(inst.n_men()));
+  const auto n_men = static_cast<std::size_t>(inst.n_men());
+  const auto n_women = static_cast<std::size_t>(inst.n_women());
+  if (ctx_.men.size() < n_men) ctx_.men.resize(n_men);
+  if (ctx_.women.size() < n_women) ctx_.women.resize(n_women);
+  men_ = std::span<ManPlayer>(ctx_.men).first(n_men);
+  women_ = std::span<WomanPlayer>(ctx_.women).first(n_women);
   for (NodeId m = 0; m < inst.n_men(); ++m) {
-    men_.emplace_back(bg.man_id(m), inst.man_pref(m),
-                      player_k(inst.man_pref(m)),
-                      /*woman_id_offset=*/inst.n_men(),
-                      make_mm(bg.man_id(m)));
+    men_[static_cast<std::size_t>(m)].reset(
+        bg.man_id(m), inst.man_pref(m), player_k(inst.man_pref(m)),
+        /*woman_id_offset=*/inst.n_men(), nodes[bg.man_id(m)]);
   }
-  women_.reserve(static_cast<std::size_t>(inst.n_women()));
   for (NodeId w = 0; w < inst.n_women(); ++w) {
-    women_.emplace_back(bg.woman_id(w), inst.woman_pref(w),
-                        player_k(inst.woman_pref(w)),
-                        make_mm(bg.woman_id(w)));
+    women_[static_cast<std::size_t>(w)].reset(
+        bg.woman_id(w), inst.woman_pref(w), player_k(inst.woman_pref(w)),
+        nodes[bg.woman_id(w)]);
   }
   DASM_CHECK_MSG(params.threads == 1,
                  "AsmParams::threads must be 1 (a run is serial), got "

@@ -1,11 +1,16 @@
-// The ASM execution engine: owns the CONGEST network and the players and
-// drives them through the globally known phase sequence of Algorithms 1-3.
+// The ASM execution engine: drives the players through the globally known
+// phase sequence of Algorithms 1-3 on the CONGEST network. The network,
+// the players, their maximal-matching nodes and the engine's scratch lists
+// are the calling thread's run context (DESIGN.md §13, mm/run_context.hpp),
+// which each run re-binds and re-initializes in place instead of building
+// them anew.
 //
 // Method bodies are split by algorithm: proposal_round.cpp (Algorithm 1),
 // quantile_match.cpp (Algorithm 2), asm_algorithm.cpp (Algorithm 3 and
 // result assembly).
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "congest/network.hpp"
@@ -13,6 +18,7 @@
 #include "core/player.hpp"
 #include "core/result.hpp"
 #include "core/schedule.hpp"
+#include "mm/run_context.hpp"
 #include "obs/trace.hpp"
 #include "stable/instance.hpp"
 
@@ -55,22 +61,42 @@ class AsmEngine {
 
   AsmResult build_result();
 
+  // The core layer's part of the thread's run context: the players and
+  // the scratch lists only the engine uses. The network, the nodes and
+  // the live list are the mm layer's part (lease_). The player arrays
+  // only grow, so players past this run's count keep their storage for a
+  // larger instance.
+  struct Context {
+    std::vector<ManPlayer> men;
+    std::vector<WomanPlayer> women;
+    std::vector<NodeId> proposers;
+    std::vector<NodeId> receivers;
+    std::vector<NodeId> g0_men;
+    std::vector<NodeId> g0_women;
+  };
+  static Context& thread_context();
+
+  // The first member: a run nested inside another on this thread throws
+  // here, before ctx_ is touched, and the lease is released last.
+  const mm::RunLease lease_;
+  Context& ctx_;
   const Instance* inst_;
   AsmParams params_;
   Schedule sched_;
-  Network net_;
-  std::vector<ManPlayer> men_;
-  std::vector<WomanPlayer> women_;
+  Network& net_;
+  std::span<ManPlayer> men_;      // this run's players, by index
+  std::span<WomanPlayer> women_;
 
   // The players each ProposalRound step can reach (DESIGN.md §2), in
   // ascending id order so every send, inbox and trace matches stepping
-  // all players in id order (DESIGN.md §6). Members, so steady-state
-  // rounds reuse their storage and allocate nothing.
-  std::vector<NodeId> proposers_;  // Step 1: men who would propose
-  std::vector<NodeId> receivers_;  // sorted Network::receivers()
-  std::vector<NodeId> g0_men_;     // Steps 3-4: men an ACCEPT reached
-  std::vector<NodeId> g0_women_;   // Steps 3-4: women who accepted someone
-  std::vector<NodeId> mm_live_;    // Step 3: non-quiescent G0 node ids
+  // all players in id order (DESIGN.md §6). Context storage, so rounds
+  // and warm runs reuse it and allocate nothing.
+  std::vector<NodeId>& proposers_;  // Step 1: men who would propose
+  std::vector<NodeId>& receivers_;  // sorted Network::receivers()
+  std::vector<NodeId>& g0_men_;     // Steps 3-4: men an ACCEPT reached
+  std::vector<NodeId>& g0_women_;   // Steps 3-4: women who accepted someone
+  std::vector<NodeId>& mm_live_;    // Step 3: non-quiescent G0 node ids
+                                    // (the lease's live list)
 
   // Progress counters (see AsmResult).
   std::int64_t proposal_rounds_executed_ = 0;

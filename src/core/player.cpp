@@ -14,17 +14,22 @@ NodeId quantile_of_rank(NodeId rank, NodeId degree, NodeId k) {
 
 // ---------------------------------------------------------------- ManPlayer
 
-ManPlayer::ManPlayer(NodeId node_id, PreferenceList pref, NodeId k,
-                     NodeId woman_id_offset, std::unique_ptr<mm::Node> mm_node)
-    : node_id_(node_id),
-      pref_(pref),
-      k_(k),
-      woman_id_offset_(woman_id_offset),
-      mm_(std::move(mm_node)) {
+void ManPlayer::reset(NodeId node_id, PreferenceList pref, NodeId k,
+                      NodeId woman_id_offset, mm::Node& mm_node) {
   DASM_CHECK(k >= 1);
-  DASM_CHECK(mm_ != nullptr);
+  node_id_ = node_id;
+  pref_ = pref;
+  k_ = k;
+  woman_id_offset_ = woman_id_offset;
+  mm_ = &mm_node;
   in_q_.assign(static_cast<std::size_t>(pref.degree()), true);
   q_size_ = pref.degree();
+  partner_ = kNoNode;
+  clear_active_set();
+  accepted_by_.clear();
+  active_ = true;
+  dropped_ = false;
+  mm_engaged_ = false;
 }
 
 void ManPlayer::set_outer_gate(std::int64_t threshold) {
@@ -32,22 +37,22 @@ void ManPlayer::set_outer_gate(std::int64_t threshold) {
 }
 
 void ManPlayer::begin_quantile_match() {
-  if (dropped_ || !active_ || partner_ != kNoNode) {
-    active_targets_.clear();
-    return;
-  }
-  active_targets_.clear();
+  clear_active_set();
+  if (dropped_ || !active_ || partner_ != kNoNode) return;
   // A <- Q_i for the best nonempty quantile i (Algorithm 2). Ranks are
-  // sorted by preference, so members of one quantile are contiguous among
-  // the surviving ranks.
-  NodeId best_quantile = kNoNode;
-  for (NodeId r = 0; r < pref_.degree(); ++r) {
-    if (!in_q_[static_cast<std::size_t>(r)]) continue;
-    const NodeId q = quantile_of_rank(r, pref_.degree(), k_);
-    if (best_quantile == kNoNode) best_quantile = q;
-    if (q != best_quantile) break;
-    active_targets_.push_back(pref_.at_rank(r));
+  // sorted by preference, so quantile i is one block of ranks, and A is
+  // its surviving members.
+  const NodeId degree = pref_.degree();
+  NodeId r = 0;
+  while (r < degree && !in_q_[static_cast<std::size_t>(r)]) ++r;
+  if (r == degree) return;
+  const NodeId best_quantile = quantile_of_rank(r, degree, k_);
+  a_lo_ = r;
+  for (; r < degree && quantile_of_rank(r, degree, k_) == best_quantile;
+       ++r) {
+    if (in_q_[static_cast<std::size_t>(r)]) ++a_size_;
   }
+  a_hi_ = r;
 }
 
 void ManPlayer::process_rejections(InboxView inbox) {
@@ -61,9 +66,7 @@ void ManPlayer::process_rejections(InboxView inbox) {
                    "woman " << w << " rejected man " << node_id_ << " twice");
     in_q_[static_cast<std::size_t>(r)] = false;
     --q_size_;
-    const auto it =
-        std::find(active_targets_.begin(), active_targets_.end(), w);
-    if (it != active_targets_.end()) active_targets_.erase(it);
+    if (r >= a_lo_ && r < a_hi_) --a_size_;
     if (partner_ == w) partner_ = kNoNode;
   }
 }
@@ -71,18 +74,20 @@ void ManPlayer::process_rejections(InboxView inbox) {
 void ManPlayer::propose_round(Network& net) {
   mm_engaged_ = false;
   if (dropped_ || partner_ != kNoNode) return;
-  for (NodeId w : active_targets_) {
-    net.send(node_id_, w + woman_id_offset_, Message{MsgType::kPropose});
+  for (NodeId r = a_lo_; r < a_hi_; ++r) {
+    if (!in_q_[static_cast<std::size_t>(r)]) continue;
+    net.send(node_id_, pref_.at_rank(r) + woman_id_offset_,
+             Message{MsgType::kPropose});
   }
 }
 
 void ManPlayer::mm_first_round(InboxView inbox,
                                Network& net) {
-  std::vector<NodeId> accepted;
+  accepted_by_.clear();
   for (const Envelope& e : inbox) {
-    if (e.msg.type == MsgType::kAccept) accepted.push_back(e.from);
+    if (e.msg.type == MsgType::kAccept) accepted_by_.push_back(e.from);
   }
-  mm_->reset(node_id_, /*is_left=*/true, std::move(accepted));
+  mm_->reset(node_id_, /*is_left=*/true, accepted_by_);
   mm_engaged_ = true;
   mm_->on_round(inbox, net);
 }
@@ -100,7 +105,7 @@ void ManPlayer::resolve_round() {
                  "man " << node_id_ << " matched in M0 while already engaged");
   partner_ = p0 - woman_id_offset_;
   DASM_DCHECK(pref_.contains(partner_));
-  active_targets_.clear();  // A <- {} (Step 4)
+  clear_active_set();  // A <- {} (Step 4)
 }
 
 bool ManPlayer::drop_if_unsatisfied() {
@@ -109,7 +114,7 @@ bool ManPlayer::drop_if_unsatisfied() {
   // Unsatisfied per Definition 3 at truncation: unmatched in M0 with an
   // unmatched accepted neighbour. Removed from play (§5.2, footnote 2).
   dropped_ = true;
-  active_targets_.clear();
+  clear_active_set();
   return true;
 }
 
@@ -119,13 +124,18 @@ void ManPlayer::finalize(InboxView inbox) {
 
 // -------------------------------------------------------------- WomanPlayer
 
-WomanPlayer::WomanPlayer(NodeId node_id, PreferenceList pref, NodeId k,
-                         std::unique_ptr<mm::Node> mm_node)
-    : node_id_(node_id), pref_(pref), k_(k), mm_(std::move(mm_node)) {
+void WomanPlayer::reset(NodeId node_id, PreferenceList pref, NodeId k,
+                        mm::Node& mm_node) {
   DASM_CHECK(k >= 1);
-  DASM_CHECK(mm_ != nullptr);
+  node_id_ = node_id;
+  pref_ = pref;
+  k_ = k;
+  mm_ = &mm_node;
   in_q_.assign(static_cast<std::size_t>(pref.degree()), true);
   q_size_ = pref.degree();
+  partner_ = kNoNode;
+  accepted_.clear();
+  mm_engaged_ = false;
 }
 
 void WomanPlayer::accept_round(InboxView inbox,
@@ -136,7 +146,6 @@ void WomanPlayer::accept_round(InboxView inbox,
   // proposer is still in Q — membership pruning is symmetric — hence in a
   // strictly better quantile than the current partner (Lemma 1).
   NodeId best_quantile = kNoNode;
-  std::vector<std::pair<NodeId, NodeId>> proposers;  // (quantile, man id)
   for (const Envelope& e : inbox) {
     if (e.msg.type != MsgType::kPropose) continue;
     const NodeId m = e.from;
@@ -148,7 +157,6 @@ void WomanPlayer::accept_round(InboxView inbox,
                    "proposal from pruned man " << m << " to woman "
                                                << node_id_);
     const NodeId q = quantile_of_rank(r, pref_.degree(), k_);
-    proposers.emplace_back(q, m);
     if (best_quantile == kNoNode || q < best_quantile) best_quantile = q;
   }
   if (best_quantile == kNoNode) return;
@@ -157,8 +165,12 @@ void WomanPlayer::accept_round(InboxView inbox,
                 quantile_of_rank(pref_.rank_of(partner_), pref_.degree(),
                                  k_));
   }
-  for (const auto& [q, m] : proposers) {
-    if (q == best_quantile) {
+  // Accept that quantile's proposers, in inbox order.
+  for (const Envelope& e : inbox) {
+    if (e.msg.type != MsgType::kPropose) continue;
+    const NodeId m = e.from;
+    if (quantile_of_rank(pref_.rank_of(m), pref_.degree(), k_) ==
+        best_quantile) {
       accepted_.push_back(m);
       net.send(node_id_, m, Message{MsgType::kAccept});
     }

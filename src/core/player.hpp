@@ -1,17 +1,19 @@
 // Per-processor state machines for ASM (§3.1).
 //
 // A ManPlayer holds his quantized preferences Q (membership flags over his
-// ranked list), his partner p, and his active set A; a WomanPlayer holds
-// her quantized preferences, her partner, and the set G0 of proposals she
-// accepted in the current ProposalRound. Both embed a maximal-matching
-// node (mm::Node) that runs Step 3 on the accepted-proposal graph.
+// ranked list), his partner p, and his active set A (a window of ranks
+// over Q); a WomanPlayer holds her quantized preferences, her partner, and
+// the set G0 of proposals she accepted in the current ProposalRound. Each
+// drives a maximal-matching node (mm::Node), which it borrows, through
+// Step 3 on the accepted-proposal graph.
 //
 // The engine drives every player through the globally known phase
 // sequence; players only ever read their own state and their inbox, so
-// each method corresponds to a valid CONGEST round (see DESIGN.md).
+// each method corresponds to a valid CONGEST round (see DESIGN.md). A
+// thread keeps its players across runs (DESIGN.md §13): reset()
+// re-initializes one in place, keeping its storage.
 #pragma once
 
-#include <memory>
 #include <vector>
 
 #include "congest/network.hpp"
@@ -26,10 +28,19 @@ NodeId quantile_of_rank(NodeId rank, NodeId degree, NodeId k);
 
 class ManPlayer {
  public:
-  /// `woman_id_offset` converts the woman indices in `pref` to network
-  /// node ids (women are numbered after the men).
+  ManPlayer() = default;
+  /// See reset().
   ManPlayer(NodeId node_id, PreferenceList pref, NodeId k,
-            NodeId woman_id_offset, std::unique_ptr<mm::Node> mm_node);
+            NodeId woman_id_offset, mm::Node& mm_node) {
+    reset(node_id, pref, k, woman_id_offset, mm_node);
+  }
+
+  /// Starts the player over as a fresh one. `woman_id_offset` converts
+  /// the woman indices in `pref` to network node ids (women are numbered
+  /// after the men). The player borrows `mm_node`, which must outlive
+  /// its use.
+  void reset(NodeId node_id, PreferenceList pref, NodeId k,
+             NodeId woman_id_offset, mm::Node& mm_node);
 
   NodeId node_id() const { return node_id_; }
   /// Current partner as a woman index, or kNoNode.
@@ -42,9 +53,7 @@ class ManPlayer {
   /// Participates in the current outer iteration (|Q| >= threshold).
   bool active() const { return active_; }
   /// True if the next propose phase would send proposals.
-  bool would_propose() const {
-    return partner_ == kNoNode && !active_targets_.empty();
-  }
+  bool would_propose() const { return partner_ == kNoNode && a_size_ > 0; }
 
   /// Outer-loop gate (Algorithm 3): active iff |Q| >= threshold.
   void set_outer_gate(std::int64_t threshold);
@@ -76,26 +85,41 @@ class ManPlayer {
 
  private:
   void process_rejections(InboxView inbox);
+  void clear_active_set() { a_lo_ = a_hi_ = a_size_ = 0; }
 
-  NodeId node_id_;
+  NodeId node_id_ = kNoNode;
   PreferenceList pref_;  // a view into the Instance, which outlives the run
-  NodeId k_;
-  NodeId woman_id_offset_;
-  std::unique_ptr<mm::Node> mm_;
+  NodeId k_ = 1;
+  NodeId woman_id_offset_ = 0;
+  mm::Node* mm_ = nullptr;
 
   std::vector<bool> in_q_;  // Q membership by rank
   NodeId q_size_ = 0;
-  NodeId partner_ = kNoNode;            // woman index
-  std::vector<NodeId> active_targets_;  // A, as woman indices
+  NodeId partner_ = kNoNode;  // woman index
+  // A: the Q members among ranks [a_lo_, a_hi_), one quantile's block, in
+  // rank order; a_size_ counts them.
+  NodeId a_lo_ = 0;
+  NodeId a_hi_ = 0;
+  NodeId a_size_ = 0;
+  std::vector<NodeId> accepted_by_;  // G0 neighbours this round (node ids)
   bool active_ = true;
   bool dropped_ = false;
-  bool mm_engaged_ = false;  // reset() was called this ProposalRound
+  bool mm_engaged_ = false;  // mm_->reset() was called this ProposalRound
 };
 
 class WomanPlayer {
  public:
+  WomanPlayer() = default;
+  /// See reset().
   WomanPlayer(NodeId node_id, PreferenceList pref, NodeId k,
-              std::unique_ptr<mm::Node> mm_node);
+              mm::Node& mm_node) {
+    reset(node_id, pref, k, mm_node);
+  }
+
+  /// Starts the player over as a fresh one, borrowing `mm_node` (see
+  /// ManPlayer::reset).
+  void reset(NodeId node_id, PreferenceList pref, NodeId k,
+             mm::Node& mm_node);
 
   NodeId node_id() const { return node_id_; }
   /// Current partner as a man index (== man node id), or kNoNode.
@@ -119,10 +143,10 @@ class WomanPlayer {
   void resolve_round(Network& net);
 
  private:
-  NodeId node_id_;
+  NodeId node_id_ = kNoNode;
   PreferenceList pref_;  // a view into the Instance, which outlives the run
-  NodeId k_;
-  std::unique_ptr<mm::Node> mm_;
+  NodeId k_ = 1;
+  mm::Node* mm_ = nullptr;
 
   std::vector<bool> in_q_;  // Q membership by rank
   NodeId q_size_ = 0;

@@ -4,7 +4,7 @@
 
 #include "core/engine.hpp"
 #include "core/player.hpp"
-#include "mm/runner.hpp"
+#include "mm/run_context.hpp"
 #include "util/check.hpp"
 
 namespace dasm::core {
@@ -105,19 +105,17 @@ SelfTimedResult run_selftimed_asm(const Instance& inst,
   const PhaseScript script(sched);
   const auto& bg = inst.graph();
   Network net(bg.graph());
-  // The global bounds AsmEngine sizes a kColorClass node by.
-  const NodeId degree_bound = g0_degree_bound(inst, sched.k);
-  auto make_mm = [&](NodeId node_id) {
-    return mm::make_node(params.mm_backend, params.seed, node_id,
-                         degree_bound, bg.node_count());
-  };
+  // The nodes and global bounds AsmEngine gives its players.
+  mm::NodePool nodes;
+  nodes.prepare(params.mm_backend, params.seed, bg.node_count(),
+                g0_degree_bound(inst, sched.k), bg.node_count());
 
   std::vector<SelfTimedMan> men;
   men.reserve(static_cast<std::size_t>(inst.n_men()));
   for (NodeId m = 0; m < inst.n_men(); ++m) {
     men.emplace_back(
         ManPlayer(bg.man_id(m), inst.man_pref(m), sched.k, inst.n_men(),
-                  make_mm(bg.man_id(m))),
+                  nodes[bg.man_id(m)]),
         script, params.drop_unsatisfied_men);
   }
   std::vector<SelfTimedWoman> women;
@@ -125,7 +123,7 @@ SelfTimedResult run_selftimed_asm(const Instance& inst,
   for (NodeId w = 0; w < inst.n_women(); ++w) {
     women.emplace_back(
         WomanPlayer(bg.woman_id(w), inst.woman_pref(w), sched.k,
-                    make_mm(bg.woman_id(w))),
+                    nodes[bg.woman_id(w)]),
         script);
   }
 

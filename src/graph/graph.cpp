@@ -1,6 +1,8 @@
 #include "graph/graph.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <utility>
 
 #include "util/check.hpp"
 
@@ -44,6 +46,34 @@ Graph::Graph(std::vector<std::int64_t> offsets, std::vector<NodeId> adjacency)
   DASM_CHECK(!offsets_.empty() && offsets_.front() == 0);
   DASM_CHECK(offsets_.back() == static_cast<std::int64_t>(adj_.size()));
   DASM_CHECK(adj_.size() % 2 == 0);
+}
+
+Graph::Graph(const Graph& other)
+    : offsets_(other.offsets_), adj_(other.adj_) {}
+
+Graph::Graph(Graph&& other) noexcept
+    : offsets_(std::move(other.offsets_)), adj_(std::move(other.adj_)) {
+  other.serial_ = next_serial();
+}
+
+Graph& Graph::operator=(const Graph& other) {
+  offsets_ = other.offsets_;
+  adj_ = other.adj_;
+  serial_ = next_serial();
+  return *this;
+}
+
+Graph& Graph::operator=(Graph&& other) noexcept {
+  offsets_ = std::move(other.offsets_);
+  adj_ = std::move(other.adj_);
+  serial_ = next_serial();
+  other.serial_ = next_serial();
+  return *this;
+}
+
+std::uint64_t Graph::next_serial() {
+  static std::atomic<std::uint64_t> counter{0};
+  return counter.fetch_add(1, std::memory_order_relaxed) + 1;
 }
 
 std::span<const NodeId> Graph::neighbors(NodeId v) const {

@@ -7,6 +7,12 @@
 // this layout and aligns its preference columns with the neighbour column
 // (stable/instance.hpp), so the graph costs 8 B per node plus 8 B per
 // edge, and no heap block per node.
+//
+// Every construction and assignment stamps the graph with a fresh serial,
+// which names its contents for as long as it keeps them: a Network
+// re-bound onto a graph rebuilds its port table only when the serial
+// differs from the one it was built for (congest/network.hpp). An address
+// cannot serve, because a freed graph's successor can reuse it.
 #pragma once
 
 #include <cstdint>
@@ -41,6 +47,17 @@ class Graph {
   /// range, no self-loops, and u in v's row iff v in u's row.
   Graph(std::vector<std::int64_t> offsets, std::vector<NodeId> adjacency);
 
+  // Copies and moves stamp a fresh serial on the target, and a move on
+  // the source too, whose contents it takes.
+  Graph(const Graph& other);
+  Graph(Graph&& other) noexcept;
+  Graph& operator=(const Graph& other);
+  Graph& operator=(Graph&& other) noexcept;
+  ~Graph() = default;
+
+  /// Distinct for every construction and assignment in the process.
+  std::uint64_t serial() const { return serial_; }
+
   NodeId node_count() const {
     return static_cast<NodeId>(offsets_.size() - 1);
   }
@@ -65,8 +82,11 @@ class Graph {
   NodeId max_degree() const;
 
  private:
+  static std::uint64_t next_serial();
+
   std::vector<std::int64_t> offsets_;
   std::vector<NodeId> adj_;
+  std::uint64_t serial_ = next_serial();
 };
 
 }  // namespace dasm

@@ -46,20 +46,24 @@ int color_class_rounds_per_iteration(NodeId n_bound) {
   return 1 + (cole_vishkin_iterations(n_bound) + 1) + 3 * 6 * 3;
 }
 
-ColorClassNode::ColorClassNode(NodeId delta_bound, NodeId n_bound)
-    : delta_(delta_bound),
-      cv_iters_(cole_vishkin_iterations(n_bound)),
-      per_class_(color_class_rounds_per_iteration(n_bound)) {
+ColorClassNode::ColorClassNode(NodeId delta_bound, NodeId n_bound) {
+  set_bounds(delta_bound, n_bound);
+}
+
+void ColorClassNode::set_bounds(NodeId delta_bound, NodeId n_bound) {
   DASM_CHECK(delta_bound >= 1);
+  delta_ = delta_bound;
+  cv_iters_ = cole_vishkin_iterations(n_bound);
+  per_class_ = color_class_rounds_per_iteration(n_bound);
 }
 
 void ColorClassNode::reset(NodeId self, bool /*is_left*/,
-                           std::vector<NodeId> neighbors) {
+                           std::span<const NodeId> neighbors) {
   DASM_CHECK_MSG(static_cast<NodeId>(neighbors.size()) <= delta_,
                  "node " << self << " has degree " << neighbors.size()
                          << " above the declared bound " << delta_);
   self_ = self;
-  neighbors_ = std::move(neighbors);
+  neighbors_.assign(neighbors.begin(), neighbors.end());
   neighbor_alive_.assign(neighbors_.size(), true);
   peer_port_.assign(neighbors_.size(), kNoNode);
   alive_ = !neighbors_.empty();

@@ -47,6 +47,8 @@
 // (DESIGN.md §2).
 #pragma once
 
+#include <vector>
+
 #include "mm/node.hpp"
 
 namespace dasm::mm {
@@ -55,9 +57,14 @@ class ColorClassNode final : public Node {
  public:
   /// `delta_bound` >= the max degree of any subgraph this node will be
   /// reset on; `n_bound` >= the number of processors (for Cole–Vishkin).
-  ColorClassNode(NodeId delta_bound, NodeId n_bound);
+  ColorClassNode(NodeId delta_bound = 1, NodeId n_bound = 2);
 
-  void reset(NodeId self, bool is_left, std::vector<NodeId> neighbors) override;
+  /// Re-fixes the schedule's bounds in place, keeping the node's storage
+  /// (a NodePool re-initializes its nodes this way for every run).
+  void set_bounds(NodeId delta_bound, NodeId n_bound);
+
+  void reset(NodeId self, bool is_left,
+             std::span<const NodeId> neighbors) override;
   void on_round(InboxView inbox, Network& net) override;
   NodeId partner() const override { return partner_; }
   bool quiescent() const override { return !alive_; }
@@ -75,9 +82,9 @@ class ColorClassNode final : public Node {
   // class pass reads it.
   void announce_color(std::int64_t within, Network& net);
 
-  NodeId delta_;
-  int cv_iters_;
-  int per_class_;
+  NodeId delta_ = 1;
+  int cv_iters_ = 0;
+  int per_class_ = 0;
 
   NodeId self_ = kNoNode;
   bool alive_ = false;

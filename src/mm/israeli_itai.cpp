@@ -8,9 +8,9 @@
 namespace dasm::mm {
 
 void IsraeliItaiNode::reset(NodeId self, bool /*is_left*/,
-                            std::vector<NodeId> neighbors) {
+                            std::span<const NodeId> neighbors) {
   self_ = self;
-  neighbors_ = std::move(neighbors);
+  neighbors_.assign(neighbors.begin(), neighbors.end());
   const std::size_t degree = neighbors_.size();
   live_words_.assign((degree + 63) / 64, ~std::uint64_t{0});
   if (degree % 64 != 0) live_words_.back() >>= 64 - degree % 64;

@@ -28,9 +28,14 @@ namespace dasm::mm {
 class IsraeliItaiNode final : public Node {
  public:
   /// `rng` must be an independent stream per node (derive_stream(seed, id)).
-  explicit IsraeliItaiNode(Xoshiro256 rng) : rng_(rng) {}
+  explicit IsraeliItaiNode(Xoshiro256 rng = Xoshiro256{}) : rng_(rng) {}
 
-  void reset(NodeId self, bool is_left, std::vector<NodeId> neighbors) override;
+  /// Starts the node over on `rng`, keeping its storage (a NodePool
+  /// re-seeds its nodes this way for every run).
+  void reseed(Xoshiro256 rng) { rng_ = rng; }
+
+  void reset(NodeId self, bool is_left,
+             std::span<const NodeId> neighbors) override;
   void on_round(InboxView inbox, Network& net) override;
   NodeId partner() const override { return partner_; }
   bool quiescent() const override { return !alive_; }

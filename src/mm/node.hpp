@@ -6,7 +6,10 @@
 // on_round() is invoked once per round for every node that is not yet
 // quiescent. The same node objects are used standalone (mm/runner) and
 // embedded inside Step 3 of ProposalRound, where the graph is the
-// accepted-proposal graph G0 of the current round.
+// accepted-proposal graph G0 of the current round. A thread keeps one
+// node array per backend across runs (mm/run_context.hpp): reset() copies
+// the neighbour list into storage the node keeps, so a warm node
+// allocates nothing.
 //
 // The quiescence contract, which lets the ASM engine and the standalone
 // runner skip quiescent nodes without changing a single send: once
@@ -19,8 +22,7 @@
 // the contract).
 #pragma once
 
-#include <memory>
-#include <vector>
+#include <span>
 
 #include "congest/network.hpp"
 #include "congest/types.hpp"
@@ -33,12 +35,12 @@ class Node {
   virtual ~Node() = default;
 
   /// Begins a new protocol execution on a fresh (sub)graph. `neighbors`
-  /// is this node's live neighbour list; `is_left` identifies the
-  /// proposing side for bipartite protocols (ignored by symmetric ones).
-  /// Randomized protocols keep consuming their stream across resets so
-  /// repeated executions stay independent.
+  /// is this node's live neighbour list, which the node copies;
+  /// `is_left` identifies the proposing side for bipartite protocols
+  /// (ignored by symmetric ones). Randomized protocols keep consuming
+  /// their stream across resets so repeated executions stay independent.
   virtual void reset(NodeId self, bool is_left,
-                     std::vector<NodeId> neighbors) = 0;
+                     std::span<const NodeId> neighbors) = 0;
 
   /// Executes one communication round: consume this round's envelopes,
   /// send next-round messages through `net`. All nodes are stepped in

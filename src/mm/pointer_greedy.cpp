@@ -7,10 +7,10 @@
 namespace dasm::mm {
 
 void PointerGreedyNode::reset(NodeId self, bool is_left,
-                              std::vector<NodeId> neighbors) {
+                              std::span<const NodeId> neighbors) {
   self_ = self;
   is_left_ = is_left;
-  neighbors_ = std::move(neighbors);
+  neighbors_.assign(neighbors.begin(), neighbors.end());
   neighbor_alive_.assign(neighbors_.size(), true);
   alive_ = !neighbors_.empty();
   partner_ = kNoNode;

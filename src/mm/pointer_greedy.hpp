@@ -21,13 +21,16 @@
 // this repository convergence is empirically logarithmic.
 #pragma once
 
+#include <vector>
+
 #include "mm/node.hpp"
 
 namespace dasm::mm {
 
 class PointerGreedyNode final : public Node {
  public:
-  void reset(NodeId self, bool is_left, std::vector<NodeId> neighbors) override;
+  void reset(NodeId self, bool is_left,
+             std::span<const NodeId> neighbors) override;
   void on_round(InboxView inbox, Network& net) override;
   NodeId partner() const override { return partner_; }
   bool quiescent() const override { return !alive_; }

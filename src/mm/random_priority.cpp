@@ -14,9 +14,9 @@ constexpr std::int32_t kPriorityRange = 1 << 14;
 }  // namespace
 
 void RandomPriorityNode::reset(NodeId self, bool /*is_left*/,
-                               std::vector<NodeId> neighbors) {
+                               std::span<const NodeId> neighbors) {
   self_ = self;
-  neighbors_ = std::move(neighbors);
+  neighbors_.assign(neighbors.begin(), neighbors.end());
   neighbor_alive_.assign(neighbors_.size(), true);
   edge_priority_.assign(neighbors_.size(), -1);
   alive_ = !neighbors_.empty();

@@ -18,15 +18,22 @@
 // engine like the other backends.
 #pragma once
 
+#include <vector>
+
 #include "mm/node.hpp"
 
 namespace dasm::mm {
 
 class RandomPriorityNode final : public Node {
  public:
-  explicit RandomPriorityNode(Xoshiro256 rng) : rng_(rng) {}
+  explicit RandomPriorityNode(Xoshiro256 rng = Xoshiro256{}) : rng_(rng) {}
 
-  void reset(NodeId self, bool is_left, std::vector<NodeId> neighbors) override;
+  /// Starts the node over on `rng`, keeping its storage (see
+  /// IsraeliItaiNode::reseed).
+  void reseed(Xoshiro256 rng) { rng_ = rng; }
+
+  void reset(NodeId self, bool is_left,
+             std::span<const NodeId> neighbors) override;
   void on_round(InboxView inbox, Network& net) override;
   NodeId partner() const override { return partner_; }
   bool quiescent() const override { return !alive_; }

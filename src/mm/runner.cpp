@@ -2,10 +2,7 @@
 
 #include <algorithm>
 
-#include "mm/color_class_node.hpp"
-#include "mm/israeli_itai.hpp"
-#include "mm/pointer_greedy.hpp"
-#include "mm/random_priority.hpp"
+#include "mm/run_context.hpp"
 #include "obs/trace.hpp"
 #include "util/check.hpp"
 
@@ -23,25 +20,6 @@ const char* to_string(Backend b) {
       return "color-class(det)";
   }
   return "unknown";
-}
-
-std::unique_ptr<Node> make_node(Backend backend, std::uint64_t seed,
-                                NodeId node_id, NodeId degree_bound,
-                                NodeId id_bound) {
-  switch (backend) {
-    case Backend::kPointerGreedy:
-      return std::make_unique<PointerGreedyNode>();
-    case Backend::kIsraeliItai:
-      return std::make_unique<IsraeliItaiNode>(
-          derive_stream(seed, static_cast<std::uint64_t>(node_id)));
-    case Backend::kRandomPriority:
-      return std::make_unique<RandomPriorityNode>(
-          derive_stream(seed ^ 0x5b1ce, static_cast<std::uint64_t>(node_id)));
-    case Backend::kColorClass:
-      return std::make_unique<ColorClassNode>(degree_bound, id_bound);
-  }
-  DASM_CHECK_MSG(false, "unknown backend");
-  return nullptr;
 }
 
 RunResult run_maximal_matching(const Graph& g,
@@ -67,7 +45,9 @@ RunResult run_maximal_matching(const Graph& g,
                  "an active fault plan needs retransmit_after >= 1 or "
                  "max_iterations >= 1: under raw loss the protocol may "
                  "never quiesce");
-  Network net(g);
+  const RunLease ctx;
+  Network& net = ctx->net;
+  net.rebind(g);
   if (config.trace_events > 0) net.enable_trace(config.trace_events);
   if (config.fault_plan.active()) net.set_fault_plan(config.fault_plan);
   if (config.retransmit_after > 0) {
@@ -80,29 +60,25 @@ RunResult run_maximal_matching(const Graph& g,
   }
   const NodeId degree_bound = std::max<NodeId>(1, g.max_degree());
   const NodeId id_bound = std::max<NodeId>(2, n);
-  std::vector<std::unique_ptr<Node>> nodes;
-  nodes.reserve(static_cast<std::size_t>(n));
+  NodePool& nodes = ctx->nodes;
+  nodes.prepare(config.backend, config.seed, n, degree_bound, id_bound);
   for (NodeId v = 0; v < n; ++v) {
-    auto node =
-        make_node(config.backend, config.seed, v, degree_bound, id_bound);
     const bool left =
         !is_left.empty() && is_left[static_cast<std::size_t>(v)];
-    const auto nb = g.neighbors(v);
-    node->reset(v, left, {nb.begin(), nb.end()});
-    nodes.push_back(std::move(node));
+    nodes[v].reset(v, left, g.neighbors(v));
   }
 
   RunResult result;
-  const int rounds_per_iter =
-      n > 0 ? nodes[0]->rounds_per_iteration() : 1;
+  const int rounds_per_iter = n > 0 ? nodes[0].rounds_per_iteration() : 1;
 
   // The non-quiescent nodes in ascending id order, the only ones stepped:
   // a quiescent node sends nothing, draws nothing and keeps its partner
   // (mm/node.hpp), so skipping it leaves every send and inbox as stepping
   // all n nodes would. Quiescent nodes leave at iteration boundaries.
-  std::vector<NodeId> live;
+  std::vector<NodeId>& live = ctx->live;
+  live.clear();
   for (NodeId v = 0; v < n; ++v) {
-    if (!nodes[static_cast<std::size_t>(v)]->quiescent()) live.push_back(v);
+    if (!nodes[v].quiescent()) live.push_back(v);
   }
 
   // Without a budget the run goes to quiescence, which a crashed
@@ -128,14 +104,10 @@ RunResult run_maximal_matching(const Graph& g,
     rec.begin_span(obs::Phase::kMmIteration, iter, net.stats());
     for (int r = 0; r < rounds_per_iter; ++r) {
       net.begin_round();
-      for (const NodeId v : live) {
-        nodes[static_cast<std::size_t>(v)]->on_round(net.inbox(v), net);
-      }
+      for (const NodeId v : live) nodes[v].on_round(net.inbox(v), net);
       net.end_round();
     }
-    std::erase_if(live, [&](NodeId v) {
-      return nodes[static_cast<std::size_t>(v)]->quiescent();
-    });
+    std::erase_if(live, [&](NodeId v) { return nodes[v].quiescent(); });
     const auto live_count = static_cast<std::int64_t>(live.size());
     result.live_after_iteration.push_back(live_count);
     rec.counter(obs::Counter::kMmLiveNodes, net.stats().executed_rounds,
@@ -157,9 +129,9 @@ RunResult run_maximal_matching(const Graph& g,
       config.fault_plan.active() && config.retransmit_after == 0;
   Matching m(n);
   for (NodeId v = 0; v < n; ++v) {
-    const NodeId p = nodes[static_cast<std::size_t>(v)]->partner();
+    const NodeId p = nodes[v].partner();
     if (p != kNoNode && v < p) {
-      if (nodes[static_cast<std::size_t>(p)]->partner() != v) {
+      if (nodes[p].partner() != v) {
         DASM_CHECK_MSG(lossy, "inconsistent partners " << v << " and " << p);
         continue;
       }

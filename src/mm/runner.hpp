@@ -1,7 +1,7 @@
-// Standalone driver for the distributed maximal-matching protocols: builds
-// a CONGEST network over a graph, steps the live (non-quiescent) protocol
-// nodes in lockstep, and
-// extracts the matching plus the traffic/convergence statistics that the
+// Standalone runner for the distributed maximal-matching protocols:
+// re-binds the thread's run context (mm/run_context.hpp) onto a graph,
+// steps the live (non-quiescent) protocol nodes in lockstep, and extracts
+// the matching plus the traffic/convergence statistics that the
 // Appendix-A experiments (E5, E6) report.
 #pragma once
 
@@ -74,15 +74,5 @@ struct RunResult {
 /// the degree bound max(1, max degree of g) and the id bound max(2, n).
 RunResult run_maximal_matching(const Graph& g, const std::vector<bool>& is_left,
                                const RunConfig& config);
-
-/// Creates a fresh protocol node for `backend`. Exposed so higher-level
-/// protocols (ProposalRound Step 3) can embed the same state machines.
-/// `degree_bound` (>= the degree of any graph the node is reset on) and
-/// `id_bound` (> every node id) are the global bounds kColorClass fixes
-/// its schedule by; the code that runs the nodes derives them from its
-/// own input, and the other backends ignore them.
-std::unique_ptr<Node> make_node(Backend backend, std::uint64_t seed,
-                                NodeId node_id, NodeId degree_bound,
-                                NodeId id_bound);
 
 }  // namespace dasm::mm

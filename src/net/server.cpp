@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <climits>
 #include <cstring>
 #include <sstream>
 #include <utility>
@@ -192,6 +193,14 @@ void Server::accept_ready() {
     set_nonblocking_checked(fd);
     const int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+    // Bound the kernel's send buffer by the server's own limit, so a
+    // consumer that stops reading meets write_buffer_limit after a fixed
+    // amount of kernel buffering rather than whatever send-buffer
+    // autotuning grows it to. Linux doubles the value for its own
+    // bookkeeping, so the kernel holds up to 2 x write_buffer_limit.
+    const int sndbuf = static_cast<int>(
+        std::min<std::size_t>(config_.write_buffer_limit, INT_MAX));
+    ::setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &sndbuf, sizeof(sndbuf));
     auto conn = std::make_unique<Connection>(config_.max_line_bytes);
     conn->fd = fd;
     conn->id = next_conn_id_++;

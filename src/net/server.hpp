@@ -52,7 +52,11 @@
 // that reaches `write_high_water` is sent inline, without waiting for the
 // cycle's flush, and the server stops reading from that connection (so a
 // slow consumer throttles its own request stream, not the service); above
-// `write_buffer_limit` the connection is dropped.
+// `write_buffer_limit` the connection is dropped. Each connection's
+// SO_SNDBUF is set to `write_buffer_limit` too, which Linux doubles: for
+// a consumer that stopped reading, the kernel holds at most about
+// 2 x write_buffer_limit (2 MiB by default) before the server's own limit
+// starts to fill, not what send-buffer autotuning would grow it to.
 //
 // Shutdown: request_stop() (or the CLI's SIGTERM flag) triggers a
 // graceful drain — stop accepting, stop reading, run every pending
@@ -91,7 +95,8 @@ struct ServeConfig {
   std::size_t max_line_bytes = 1 << 16;
   /// Backpressure: a connection whose write buffer reaches the high-water
   /// mark is sent to inline and no longer read; past the hard limit it is
-  /// dropped.
+  /// dropped. The hard limit is also each connection's SO_SNDBUF (the
+  /// kernel's send buffer, which Linux sizes at twice that).
   std::size_t write_high_water = 1 << 18;
   std::size_t write_buffer_limit = 1 << 20;
   /// Connections idle (no bytes in either direction) longer than this are

@@ -75,8 +75,8 @@ struct Request {
 };
 
 /// The committed answer to one request. Payload fields (everything except
-/// `id`) are a pure function of the cache key, so a cache hit replays the
-/// cold run's bytes exactly. A request whose run failed a check carries
+/// `id` and `instance`, which name the request) are a pure function of the
+/// cache key, so a cache hit replays the cold run's bytes exactly. A request whose run failed a check carries
 /// the check's message in `error` and is answered `ERR <error>`.
 struct Response {
   std::int64_t id = 0;  ///< arrival ordinal assigned by MatchService::submit

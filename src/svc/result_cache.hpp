@@ -1,8 +1,11 @@
 // Response cache of the matching service (DESIGN.md §9).
 //
 // Keyed on CacheKey = (instance digest, run-parameter digest); the stored
-// payload is a full Response minus the arrival id, so a hit reproduces the
-// cold run's response line byte for byte once the id is stamped back on.
+// payload is a full Response minus the arrival id and the instance name,
+// so a hit reproduces the cold run's response line byte for byte once the
+// id and the requesting instance's name are stamped back on. Two
+// instances with the same contents share a key, so a name kept in the
+// entry would answer one client with another's instance name.
 // Entries never expire — a protocol run is a pure function of its key, so
 // there is nothing to invalidate; memory is bounded by the number of
 // distinct (instance, params) points a workload visits.

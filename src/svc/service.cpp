@@ -194,8 +194,9 @@ std::int64_t MatchService::run_batch() {
       });
   for (const CellResult& r : results) m_execute_us_.observe(r.execute_us);
 
-  // Commit in arrival order: stamp ids, account hits/misses, record the
-  // obs spans, and publish to the cache for later batches.
+  // Commit in arrival order: stamp ids and instance names, account
+  // hits/misses, record the obs spans, and publish to the cache for later
+  // batches.
   const std::int64_t batch_ordinal = stats_.batches;
   const bool timing = m_queue_wait_us_.active();
   const auto commit_time =
@@ -203,11 +204,14 @@ std::int64_t MatchService::run_batch() {
              : std::chrono::steady_clock::time_point{};
   rec_.begin_span(obs::Phase::kSvcBatch, batch_ordinal, svc_net_);
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    const Plan& plan = plans[i];
+    Plan& plan = plans[i];
     Response resp =
-        plan.cached ? plan.cached_payload
+        plan.cached ? std::move(plan.cached_payload)
                     : results[static_cast<std::size_t>(plan.cell)].resp;
+    // The key covers the instance's contents, not its name: a twin
+    // instance shares the payload and answers with its own name.
     resp.id = batch[i].id;
+    resp.instance = batch[i].request.instance;
     if (timing) {
       m_queue_wait_us_.observe(
           std::chrono::duration_cast<std::chrono::microseconds>(
@@ -232,8 +236,10 @@ std::int64_t MatchService::run_batch() {
     }
     rec_.end_span(obs::Phase::kSvcRequest, resp.id, svc_net_);
     if (plan.owns_cell) {
+      // The payload is key-addressed; arrival ids and names are not.
       Response cached = resp;
-      cached.id = -1;  // the payload is key-addressed; arrival ids are not
+      cached.id = -1;
+      cached.instance.clear();
       cache_.insert(batch[i].key, cached);
     }
     ++stats_.committed;

@@ -15,8 +15,10 @@
 //   2. SweepRunner::map writes cell results into index-ordered slots, and
 //      the commit loop walks requests in arrival order regardless of
 //      which worker finished which cell first;
-//   3. a response line carries only payload derived from its cache key —
-//      serving from cache replays the cold run's bytes exactly.
+//   3. a response line carries only payload derived from its cache key,
+//      plus the id and instance name of the request it answers, which the
+//      commit stamps — serving from cache replays the cold run's bytes
+//      exactly.
 //
 // Within one batch, requests sharing a cache key execute once: the first
 // arrival becomes the cell, later arrivals are counted as cache hits and

@@ -31,7 +31,8 @@ TEST(ColorClassNode, LooseDegreeBoundStillWorks) {
 TEST(ColorClassNode, RejectsDegreeAboveBound) {
   EXPECT_THROW({ mm::ColorClassNode unbounded(0, 16); }, CheckError);
   mm::ColorClassNode node(2, 16);
-  EXPECT_THROW(node.reset(0, false, {1, 2, 3}), CheckError);
+  const std::vector<NodeId> three = {1, 2, 3};
+  EXPECT_THROW(node.reset(0, false, three), CheckError);
 }
 
 TEST(G0DegreeBound, FollowsQuantileSizes) {

@@ -4,32 +4,28 @@
 
 #include <gtest/gtest.h>
 
-#include "mm/runner.hpp"
+#include "mm/pointer_greedy.hpp"
 #include "stable/instance.hpp"
 #include "util/check.hpp"
 
 namespace dasm::core {
 namespace {
 
-// Pointer-greedy ignores make_node's degree and id bounds.
-std::unique_ptr<mm::Node> greedy_node(NodeId id) {
-  return mm::make_node(mm::Backend::kPointerGreedy, 1, id, 2, 3);
-}
-
 // One man (node 0) who ranks two women (nodes 1, 2); both rank him back.
-// The instance owns every list (players only keep views) and is declared
-// first so the views handed to the player constructors are valid.
+// The instance owns every list (players only keep views); it and the
+// nodes the players borrow are declared first, so the views and nodes
+// handed to the player constructors are valid.
 struct Harness {
   Harness()
       : inst({{0, 1}}, {{0}, {0}}),
         net(inst.graph().graph()),
-        man(0, inst.man_pref(0), /*k=*/2, /*woman_id_offset=*/1,
-            greedy_node(0)),
-        w0(1, inst.woman_pref(0), 2, greedy_node(1)),
-        w1(2, inst.woman_pref(1), 2, greedy_node(2)) {}
+        man(0, inst.man_pref(0), /*k=*/2, /*woman_id_offset=*/1, nodes[0]),
+        w0(1, inst.woman_pref(0), 2, nodes[1]),
+        w1(2, inst.woman_pref(1), 2, nodes[2]) {}
 
   Instance inst;  // declared before net, which borrows its graph
   Network net;
+  mm::PointerGreedyNode nodes[3];
   ManPlayer man;
   WomanPlayer w0;
   WomanPlayer w1;
@@ -104,7 +100,8 @@ TEST(WomanPlayerTest, AcceptsBestProposingQuantile) {
   // Woman (node 2) ranks men 0 and 1; k = 2 so each is his own quantile.
   const Instance inst({{0}, {0}}, {{0, 1}});
   Network net(inst.graph().graph());
-  WomanPlayer w(2, inst.woman_pref(0), 2, greedy_node(2));
+  mm::PointerGreedyNode node;
+  WomanPlayer w(2, inst.woman_pref(0), 2, node);
 
   net.begin_round();
   net.send(0, 2, Message{MsgType::kPropose});
@@ -123,7 +120,8 @@ TEST(WomanPlayerTest, AcceptsWholeQuantileWhenCoarse) {
   // k = 1: both men share quantile 1, so both get accepted.
   const Instance inst({{0}, {0}}, {{0, 1}});
   Network net(inst.graph().graph());
-  WomanPlayer w(2, inst.woman_pref(0), 1, greedy_node(2));
+  mm::PointerGreedyNode node;
+  WomanPlayer w(2, inst.woman_pref(0), 1, node);
   net.begin_round();
   net.send(0, 2, Message{MsgType::kPropose});
   net.send(1, 2, Message{MsgType::kPropose});
@@ -141,7 +139,8 @@ TEST(WomanPlayerTest, ProposalFromUnrankedManIsAViolation) {
   const Instance inst({{0}, {}}, {{0}});
   const Graph g(3, {{0, 2}, {1, 2}});
   Network net(g);
-  WomanPlayer w(2, inst.woman_pref(0), 1, greedy_node(2));
+  mm::PointerGreedyNode node;
+  WomanPlayer w(2, inst.woman_pref(0), 1, node);
   net.begin_round();
   net.send(1, 2, Message{MsgType::kPropose});  // man 1 is not on her list
   net.end_round();

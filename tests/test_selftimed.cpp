@@ -9,11 +9,11 @@
 #include <gtest/gtest.h>
 
 #include <iterator>
-#include <memory>
 #include <vector>
 
 #include "core/engine.hpp"
 #include "gen/generators.hpp"
+#include "mm/run_context.hpp"
 #include "mm/runner.hpp"
 #include "stable/blocking.hpp"
 #include "util/check.hpp"
@@ -165,16 +165,15 @@ constexpr MsgType kMmTypes[] = {
     MsgType::kMmPriority, MsgType::kPort,       MsgType::kParent,
     MsgType::kColor};
 
-using Nodes = std::vector<std::unique_ptr<mm::Node>>;
+using Nodes = mm::NodePool;
 
 Nodes make_contract_nodes(mm::Backend backend) {
   const Graph& g = contract_graph();
   Nodes nodes;
+  nodes.prepare(backend, /*seed=*/11, g.node_count(), g.max_degree(),
+                g.node_count());
   for (NodeId v = 0; v < g.node_count(); ++v) {
-    nodes.push_back(mm::make_node(backend, /*seed=*/11, v, g.max_degree(),
-                                  g.node_count()));
-    const auto nb = g.neighbors(v);
-    nodes.back()->reset(v, contract_left(v), {nb.begin(), nb.end()});
+    nodes[v].reset(v, contract_left(v), g.neighbors(v));
   }
   return nodes;
 }
@@ -187,11 +186,11 @@ std::vector<TraceEvent> step_all(Nodes& nodes, int iterations) {
   const Graph& g = contract_graph();
   Network net(g);
   net.enable_trace(1 << 14);
-  const int rounds = iterations * nodes[0]->rounds_per_iteration();
+  const int rounds = iterations * nodes[0].rounds_per_iteration();
   for (int r = 0; r < rounds; ++r) {
     net.begin_round();
     for (NodeId v = 0; v < g.node_count(); ++v) {
-      mm::Node& node = *nodes[static_cast<std::size_t>(v)];
+      mm::Node& node = nodes[v];
       const bool was_quiescent = node.quiescent();
       const NodeId partner = node.partner();
       const std::int64_t sent = net.stats().messages;
@@ -211,9 +210,9 @@ std::vector<TraceEvent> step_all(Nodes& nodes, int iterations) {
 // message types: it must send nothing and keep its partner.
 void probe_quiescent(Nodes& nodes) {
   const Graph& g = contract_graph();
-  const int rounds = 3 * nodes[0]->rounds_per_iteration();
+  const int rounds = 3 * nodes[0].rounds_per_iteration();
   for (NodeId v = 0; v < g.node_count(); ++v) {
-    mm::Node& node = *nodes[static_cast<std::size_t>(v)];
+    mm::Node& node = nodes[v];
     ASSERT_TRUE(node.quiescent()) << "node " << v;
     const NodeId partner = node.partner();
     Network probe(g);
@@ -242,13 +241,13 @@ TEST(MmNodeContract, QuiescentNodesSendNothingAndKeepTheirPartner) {
   for (const mm::Backend backend : kAllBackends) {
     SCOPED_TRACE(mm::to_string(backend));
     Nodes nodes = make_contract_nodes(backend);
-    EXPECT_TRUE(nodes[7]->quiescent());  // isolated from its reset on
+    EXPECT_TRUE(nodes[7].quiescent());  // isolated from its reset on
     step_all(nodes, kContractIterations);
     probe_quiescent(nodes);
     // The same after a reset onto no neighbours, the state every player
     // outside G0 would be in after Step 3's first round.
     for (NodeId v = 0; v < contract_graph().node_count(); ++v) {
-      nodes[static_cast<std::size_t>(v)]->reset(v, contract_left(v), {});
+      nodes[v].reset(v, contract_left(v), {});
     }
     probe_quiescent(nodes);
   }
@@ -269,15 +268,13 @@ TEST(MmNodeContract, QuiescentStepsDrawNoRandomness) {
     probe_quiescent(stepped);
     for (Nodes* nodes : {&stepped, &untouched}) {
       for (NodeId v = 0; v < contract_graph().node_count(); ++v) {
-        (*nodes)[static_cast<std::size_t>(v)]->reset(v, contract_left(v), {});
+        (*nodes)[v].reset(v, contract_left(v), {});
       }
     }
     probe_quiescent(stepped);
     for (Nodes* nodes : {&stepped, &untouched}) {
       for (NodeId v = 0; v < contract_graph().node_count(); ++v) {
-        const auto nb = contract_graph().neighbors(v);
-        (*nodes)[static_cast<std::size_t>(v)]->reset(v, contract_left(v),
-                                                     {nb.begin(), nb.end()});
+        (*nodes)[v].reset(v, contract_left(v), contract_graph().neighbors(v));
       }
     }
     const std::vector<TraceEvent> again = step_all(stepped, 4);

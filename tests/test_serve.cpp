@@ -357,6 +357,33 @@ TEST(ServeConformance, SingleConnectionMatchesBatchBytes) {
   EXPECT_TRUE(client.at_eof());  // half-closed peer is released when done
 }
 
+// Instance names are global to the server, and twin instances share a
+// cache entry; a client whose request hits an entry another client's twin
+// left still reads its own instance's name, never the other's.
+TEST(ServeConformance, TwinInstancesOnTwoConnectionsKeepTheirOwnNames) {
+  const std::string alice_text =
+      "dasm-requests 1\ninstance alice_private gen complete 16 1\n"
+      "request alice_private asm\n";
+  const std::string bob_text =
+      "dasm-requests 1\ninstance bob gen complete 16 1\nrequest bob asm\n";
+  TestServer ts;
+  ts.start();
+  Client alice(ts.port());
+  alice.send_all(alice_text);
+  const std::vector<std::string> alice_lines = alice.must_read_lines(2);
+  Client bob(ts.port());
+  bob.send_all(bob_text);
+  const std::vector<std::string> bob_lines = bob.must_read_lines(2);
+  EXPECT_EQ(alice_lines[0] + "\n" + alice_lines[1] + "\n",
+            batch_reference(alice_text));
+  EXPECT_EQ(bob_lines[0] + "\n" + bob_lines[1] + "\n",
+            batch_reference(bob_text));
+  EXPECT_EQ(bob_lines[1].find("alice_private"), std::string::npos)
+      << bob_lines[1];
+  ts.stop();
+  EXPECT_EQ(ts.server->service().stats().cache_hits, 1);
+}
+
 TEST(ServeConformance, PerConnectionOrderAndDemuxUnderConcurrency) {
   for (const int n_conns : {2, 5, 8}) {
     TestServer ts;
@@ -577,16 +604,14 @@ TEST(ServeWrites, ANonReadingConsumerIsCutOffWhileOthersAreServed) {
       "dasm-requests 1\ninstance g gen complete 12 1\nrequest g asm eps 0.5\n");
 
   // The slow consumer sends and never reads. Every 2-byte line is
-  // answered with a 46-byte ERR line. A small receive buffer and segment
-  // size keep what the kernel holds for it near 50 kB (a few MB on
-  // loopback otherwise), so its answers outgrow that and then the
-  // server's write_buffer_limit within the lines of that one read.
+  // answered with a 46-byte ERR line. What the kernel holds for it is its
+  // receive buffer (read back, since the default depends on the host)
+  // plus the server's send buffer (SO_SNDBUF = write_buffer_limit, which
+  // Linux doubles); the flood's answers are four times that plus
+  // write_buffer_limit, so they outgrow both within the lines of that one
+  // read.
   const int slow = ::socket(AF_INET, SOCK_STREAM, 0);
   ASSERT_GE(slow, 0);
-  const int rcvbuf = 4096;
-  const int mss = 536;
-  ::setsockopt(slow, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf));
-  ::setsockopt(slow, IPPROTO_TCP, TCP_MAXSEG, &mss, sizeof(mss));
   timeval tv{};
   tv.tv_sec = 10;
   ::setsockopt(slow, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
@@ -596,9 +621,18 @@ TEST(ServeWrites, ANonReadingConsumerIsCutOffWhileOthersAreServed) {
   ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
   ASSERT_EQ(
       ::connect(slow, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
-  constexpr std::size_t kLines = 8192;
+  int rcvbuf = 0;
+  socklen_t rcvbuf_len = sizeof(rcvbuf);
+  ASSERT_EQ(
+      ::getsockopt(slow, SOL_SOCKET, SO_RCVBUF, &rcvbuf, &rcvbuf_len), 0);
+  const std::string_view answer =
+      "ERR expected 'request' or 'instance', got 'x'\n";
+  const std::size_t held = static_cast<std::size_t>(rcvbuf) +
+                           2 * ts.config.write_buffer_limit;
+  const std::size_t lines =
+      4 * (held + ts.config.write_buffer_limit) / answer.size();
   std::string flood = "dasm-requests 1\n";
-  for (std::size_t i = 0; i < kLines; ++i) flood += "x\n";
+  for (std::size_t i = 0; i < lines; ++i) flood += "x\n";
   ASSERT_EQ(::send(slow, flood.data(), flood.size(), MSG_NOSIGNAL),
             static_cast<ssize_t>(flood.size()));
   // Every byte acknowledged: all of it waits in the server's socket.
@@ -629,10 +663,7 @@ TEST(ServeWrites, ANonReadingConsumerIsCutOffWhileOthersAreServed) {
     received += static_cast<std::size_t>(n);
   }
   EXPECT_TRUE(n == 0 || errno != EAGAIN) << "no cut-off within the timeout";
-  EXPECT_LT(received, kLines * std::string_view(
-                                   "ERR expected 'request' or 'instance', "
-                                   "got 'x'\n")
-                                   .size());
+  EXPECT_LT(received, lines * answer.size());
   ::close(slow);
 }
 

@@ -7,9 +7,14 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <thread>
 #include <vector>
 
+#include "core/engine.hpp"
+#include "core/rand_asm.hpp"
 #include "gen/generators.hpp"
+#include "mm/runner.hpp"
 #include "obs/export.hpp"
 #include "par/sweep.hpp"
 #include "stable/io.hpp"
@@ -615,6 +620,158 @@ TEST(SvcService, FailingRunsAnswerErrAndSpareTheBatch) {
       << logs[0];
   EXPECT_EQ(logs[0].find("check failed"), std::string::npos);
   EXPECT_EQ(logs[0].find(".cpp:"), std::string::npos);
+}
+
+// Twin instances share a cache key, which covers an instance's contents
+// and not its name; each answer still names the instance its request
+// asked about, whether it piggybacks on a twin's run in the same batch or
+// hits the entry a twin's run left for a later batch.
+TEST(SvcService, CacheHitsAnswerWithTheirOwnInstanceName) {
+  // The response log of `text`'s requests, split into lines, with a batch
+  // cut after request `cut` (none if negative).
+  auto serve = [](const std::string& text, int cut) {
+    std::istringstream is(text);
+    const RequestFile file = load_requests(is);
+    MatchService service;
+    for (const auto& decl : file.instances) {
+      service.instances().add(decl.name, make_declared_instance(decl));
+    }
+    for (std::size_t i = 0; i < file.requests.size(); ++i) {
+      EXPECT_GE(service.submit(file.requests[i]), 0);
+      if (static_cast<int>(i) == cut) service.run_batch();
+    }
+    service.drain();
+    EXPECT_EQ(service.stats().executed_runs, 1);
+    std::ostringstream os;
+    service.write_responses(os);
+    std::vector<std::string> lines;
+    std::istringstream log(os.str());
+    for (std::string line; std::getline(log, line);) lines.push_back(line);
+    return lines;
+  };
+  const std::string a = "instance a gen complete 16 1\n";
+  const std::string b = "instance b gen complete 16 1\n";
+  // a runs, b piggybacks on it in the same batch, and b hits the entry it
+  // left in the next batch.
+  const std::vector<std::string> got = serve(
+      "dasm-requests 1\n" + a + b +
+          "request a asm\nrequest b asm\nrequest b asm\n",
+      1);
+  // What each line reads on a service that never saw the twin.
+  const std::vector<std::string> a_only =
+      serve("dasm-requests 1\n" + a + "request a asm\n", -1);
+  const std::vector<std::string> b_only = serve(
+      "dasm-requests 1\n" + b +
+          "request b asm\nrequest b asm\nrequest b asm\n",
+      -1);
+  ASSERT_EQ(got.size(), 4u);
+  EXPECT_EQ(got[1], a_only[1]);
+  EXPECT_EQ(got[2], b_only[2]);
+  EXPECT_EQ(got[3], b_only[3]);
+  EXPECT_NE(got[2].find(" inst b "), std::string::npos) << got[2];
+}
+
+// ---------------------------------------------------------------------------
+// The warm run context (DESIGN.md §13)
+
+// What one run hands back: its matching, NetStats and trace, or the
+// message of the check it failed.
+struct RunRecord {
+  std::vector<Edge> matching;
+  NetStats net;
+  std::vector<TraceEvent> trace;
+  std::string error;
+
+  friend bool operator==(const RunRecord&, const RunRecord&) = default;
+};
+
+RunRecord run_traced(const StoredInstance& inst, const Request& request) {
+  constexpr std::size_t kTraceEvents = std::size_t{1} << 17;
+  RunRecord out;
+  try {
+    if (request.algo == Algo::kMm) {
+      const Graph& g = inst.instance.graph().graph();
+      std::vector<bool> is_left(static_cast<std::size_t>(g.node_count()));
+      for (NodeId m = 0; m < inst.instance.n_men(); ++m) {
+        is_left[static_cast<std::size_t>(m)] = true;
+      }
+      mm::RunConfig config = mm_config(request);
+      config.trace_events = kTraceEvents;
+      const mm::RunResult r = mm::run_maximal_matching(g, is_left, config);
+      out.matching = r.matching.edges();
+      out.net = r.net;
+      out.trace = r.trace;
+    } else {
+      core::AsmResult r;
+      if (request.algo == Algo::kAsm) {
+        core::AsmParams params = asm_params(request);
+        params.net_trace_events = kTraceEvents;
+        r = core::run_asm(inst.instance, params);
+      } else {
+        core::RandAsmParams params = rand_asm_params(request);
+        params.net_trace_events = kTraceEvents;
+        r = core::run_rand_asm(inst.instance, params);
+      }
+      out.matching = r.matching.edges();
+      out.net = r.net;
+      out.trace = std::move(r.net_trace);
+    }
+  } catch (const CheckError& e) {
+    out.error = e.message();
+  }
+  return out;
+}
+
+// One thread runs requests that change instance, algorithm, backend and
+// fault plan at every step, one of them failing mid-round with payloads
+// open, then the same requests in reverse. Each run must hand back what
+// the same request hands back on a thread that never ran anything else.
+TEST(SvcContext, ReusedContextMatchesAFreshThread) {
+  InstanceStore store;
+  store.add("k96", gen::complete_uniform(96, 3));
+  store.add("i768", gen::incomplete_uniform(768, 768, 16.0 / 768, 4));
+  store.add("k64", gen::complete_uniform(64, 2));
+  store.add("c", gen::gs_displacement_chain(16));
+  auto request = [](const std::string& line) {
+    return parse_request(std::string_view(line));
+  };
+  // The wire names no color-class backend; the engines take it.
+  auto color_class = [](Request r) {
+    r.backend = mm::Backend::kColorClass;
+    return r;
+  };
+  const std::vector<Request> sequence = {
+      request("k96 asm eps 0.25 seed 5"),
+      request("i768 rand-asm eps 0.25 seed 6"),
+      request("k96 mm backend ii seed 7"),
+      request("k64 asm eps 0.25 seed 8 drop 0.05 retransmit-after 2"),
+      color_class(request("k64 asm eps 0.5 seed 9")),
+      request("i768 mm backend det seed 10"),
+      // SvcService.FailingRunsAnswerErrAndSpareTheBatch's `dead`: a
+      // payload dies at the retransmit cap and Step 3 cannot finish.
+      request("c asm eps 0.5 drop 0.5 retransmit-after 1 max-retransmits 1"),
+  };
+  std::vector<RunRecord> fresh(sequence.size());
+  for (std::size_t i = 0; i < sequence.size(); ++i) {
+    std::thread([&, i] {
+      fresh[i] = run_traced(*store.find(sequence[i].instance), sequence[i]);
+    }).join();
+  }
+  EXPECT_EQ(fresh.back().error,
+            "maximal matching failed to converge within the safety cap");
+
+  // Every request in order, then in reverse.
+  std::vector<std::size_t> order;
+  for (std::size_t i = 0; i < sequence.size(); ++i) order.push_back(i);
+  for (std::size_t i = sequence.size(); i-- > 0;) order.push_back(i);
+  std::thread([&] {
+    for (const std::size_t i : order) {
+      const RunRecord warm =
+          run_traced(*store.find(sequence[i].instance), sequence[i]);
+      EXPECT_TRUE(warm == fresh[i]) << "request " << i;
+      EXPECT_FALSE(warm.trace.empty() && warm.error.empty()) << i;
+    }
+  }).join();
 }
 
 TEST(SvcService, CacheHitReplayEqualsColdRun) {
